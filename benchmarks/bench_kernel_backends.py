@@ -1,26 +1,17 @@
 #!/usr/bin/env python
-"""Kernel-backend + incremental-sweep comparison → ``kernel`` block.
+"""Kernel-backend comparison → ``kernel`` block.
 
 Benchmarks the sort-dominated hot path of the sweep workspace across
-the registered kernel backends (``numpy`` reference, compiled
-``cnative``, ``numba`` when installed) and the incremental active-set
-layer, on the same gravity-table instance family as
+the registered kernel backends (``numpy`` reference and compiled
+``cnative``), on the same gravity-table instance family as
 ``run_trajectory.py``:
 
 * **solo rows** — end-to-end warm solves per (kind, backend) at
   ``--size``, directly comparable to the ``solo`` warm rows of
   ``BENCH_sweeps.json`` (same solver call, same stop rule).  Each row
   reports its speedup against the frozen PR 4 warm baselines below.
-* **settled traffic** — repeated kernel sweeps whose duals stopped
-  moving (the convergence tail and warm bucket-mate service traffic):
-  with incremental sweeps on, every repeat is answered by the full-skip
-  path; the measured ratio against ``incremental=False`` is the CI
-  smoke gate (``--check`` requires >= ``--min-settled-speedup``).
-* **repair traffic** — one dual perturbed per sweep, exercising the
-  splice-repair path against the plain verify-everything pass.
-* **bit identity** — every available backend, incremental on and off,
-  must reproduce the ``numpy``/non-incremental trajectory bit for bit
-  (``--check`` fails on any mismatch).
+* **bit identity** — every available backend must reproduce the
+  ``numpy`` trajectory bit for bit (``--check`` fails on any mismatch).
 
 The results are written into the ``kernel`` block of ``--out``
 (default ``BENCH_sweeps.json``), leaving every other block untouched.
@@ -34,8 +25,6 @@ import os
 import pathlib
 import sys
 import time
-
-import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
@@ -53,7 +42,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # Frozen warm solo baselines (seconds) from the PR 4 trajectory run of
 # BENCH_sweeps.json (n=500, same instances, same stop rule) — the
-# reference the compiled/incremental hot path is gated against.
+# reference the compiled hot path is gated against.
 PR4_WARM_S = {"fixed": 0.5896, "elastic": 15.0106, "sam": 0.5984}
 
 
@@ -81,7 +70,7 @@ def bench_solo_backend(kind: str, n: int, backend: str, reps: int) -> dict:
     mk, solver = KINDS[kind]
     problem = mk(n)
     with _forced_backend(backend):
-        # Counter pass with an explicit pair so skip/repair activity is
+        # Counter pass with an explicit pair so the sort counters are
         # observable; timing passes use the driver-managed pair exactly
         # like run_trajectory's warm rows.
         ws = (SweepWorkspace(n, n), SweepWorkspace(n, n))
@@ -89,14 +78,11 @@ def bench_solo_backend(kind: str, n: int, backend: str, reps: int) -> dict:
         warm_s = min(
             _timed(lambda: solver(problem, stop=STOP)) for _ in range(reps)
         )
-    c0 = ws[0].counters_extended()
-    c1 = ws[1].counters_extended()
     baseline = PR4_WARM_S.get(kind)
     return {
         "kind": kind,
         "size": n,
         "backend": ws[0].backend_name,
-        "incremental": ws[0].incremental,
         "iterations": res.iterations,
         "converged": bool(res.converged),
         "warm_s": round(warm_s, 4),
@@ -104,101 +90,12 @@ def bench_solo_backend(kind: str, n: int, backend: str, reps: int) -> dict:
             round(baseline / warm_s, 3) if baseline and n == 500 else None
         ),
         "sort_reuse_rate": round(ws[0].sort_reuse_rate, 4),
-        "rows_skipped": c0["rows_skipped"] + c1["rows_skipped"],
-        "perm_repairs": c0["perm_repairs"] + c1["perm_repairs"],
-        "full_resorts": c0["full_resorts"] + c1["full_resorts"],
-    }
-
-
-def _settled_instance(n: int, seed: int = 3):
-    rng = np.random.default_rng(seed)
-    base = rng.uniform(-5.0, 5.0, (n, n))
-    slopes = rng.uniform(0.5, 2.0, (n, n))
-    target = rng.uniform(5.0, 50.0, n)
-    mu = rng.uniform(-1.0, 1.0, n)
-    return base, slopes, target, mu
-
-
-def bench_settled(n: int, solves: int, backend: str) -> dict:
-    """Repeat sweeps with frozen duals: the full-skip fast path.
-
-    This is the shape of settled traffic — the convergence tail where
-    ``delta-x`` keeps shrinking below the dual update's resolution, and
-    warm service streams re-solving near-identical instances.
-    """
-    base, slopes, target, mu = _settled_instance(n)
-
-    def run(incremental: bool) -> tuple[float, SweepWorkspace]:
-        ws = SweepWorkspace(n, n, backend=backend, incremental=incremental)
-        ws.bind(slopes)
-        ws.solve(ws.shift(base, mu), target)  # warm the caches
-        t0 = time.perf_counter()
-        for _ in range(solves):
-            ws.solve(ws.shift(base, mu), target)
-        return time.perf_counter() - t0, ws
-
-    noninc_s, _ = run(False)
-    inc_s, ws = run(True)
-    return {
-        "size": n,
-        "solves": solves,
-        "backend": ws.backend_name,
-        "noninc_s": round(noninc_s, 4),
-        "inc_s": round(inc_s, 4),
-        "speedup": round(noninc_s / inc_s, 3),
-        "rows_skipped": ws.rows_skipped,
-    }
-
-
-def bench_repair(n: int, solves: int, backend: str,
-                 density: float = 0.06) -> dict:
-    """One dual nudged per sweep over a sparse active pattern.
-
-    With ``density``-fraction active cells, a single moved dual touches
-    only the rows holding that column — the incremental path verifies
-    (and, where needed, splice-repairs) just those rows and reuses
-    every untouched row's multiplier, while the plain path pays the
-    full verify + tail each sweep.  Rows are elastic (``a=1``) so the
-    masked pattern never trips the fixed-row feasibility checks.
-    """
-    rng = np.random.default_rng(5)
-    base = rng.uniform(-5.0, 5.0, (n, n))
-    active = rng.random((n, n)) < density
-    active[np.arange(n), rng.integers(0, n, n)] = True  # no empty rows
-    slopes = np.where(active, rng.uniform(0.5, 2.0, (n, n)), 0.0)
-    target = rng.uniform(5.0, 50.0, n)
-    a_arr = np.ones(n)
-    mu = rng.uniform(-1.0, 1.0, n)
-
-    def run(incremental: bool) -> tuple[float, SweepWorkspace]:
-        ws = SweepWorkspace(n, n, backend=backend, incremental=incremental)
-        ws.bind(slopes)
-        m = mu.copy()
-        ws.solve(ws.shift(base, m), target, a=a_arr)
-        step = np.random.default_rng(17)
-        t0 = time.perf_counter()
-        for _ in range(solves):
-            m[step.integers(n)] += step.uniform(-0.5, 0.5)
-            ws.solve(ws.shift(base, m), target, a=a_arr)
-        return time.perf_counter() - t0, ws
-
-    noninc_s, _ = run(False)
-    inc_s, ws = run(True)
-    return {
-        "size": n,
-        "solves": solves,
-        "density": density,
-        "backend": ws.backend_name,
-        "noninc_s": round(noninc_s, 4),
-        "inc_s": round(inc_s, 4),
-        "speedup": round(noninc_s / inc_s, 3),
-        "rows_skipped": ws.rows_skipped,
-        "perm_repairs": ws.perm_repairs,
+        "full_resorts": ws[0].full_resorts + ws[1].full_resorts,
     }
 
 
 def check_bit_identity(kinds, n: int, backends) -> dict:
-    """Full-trajectory bitwise equality across backends × incremental."""
+    """Full-trajectory bitwise equality of every backend against numpy."""
     mismatches = []
     cases = 0
     for kind in kinds:
@@ -207,25 +104,17 @@ def check_bit_identity(kinds, n: int, backends) -> dict:
         with _forced_backend("numpy"):
             ref = solver(
                 problem, stop=STOP,
-                workspaces=(
-                    SweepWorkspace(n, n, incremental=False),
-                    SweepWorkspace(n, n, incremental=False),
-                ),
+                workspaces=(SweepWorkspace(n, n), SweepWorkspace(n, n)),
             )
         for backend in backends:
-            for incremental in (False, True):
-                cases += 1
-                ws = (
-                    SweepWorkspace(n, n, backend=backend,
-                                   incremental=incremental),
-                    SweepWorkspace(n, n, backend=backend,
-                                   incremental=incremental),
-                )
-                res = solver(problem, stop=STOP, workspaces=ws)
-                if res.x.tobytes() != ref.x.tobytes():
-                    mismatches.append(
-                        f"{kind} backend={backend} incremental={incremental}"
-                    )
+            cases += 1
+            ws = (
+                SweepWorkspace(n, n, backend=backend),
+                SweepWorkspace(n, n, backend=backend),
+            )
+            res = solver(problem, stop=STOP, workspaces=ws)
+            if res.x.tobytes() != ref.x.tobytes():
+                mismatches.append(f"{kind} backend={backend}")
     return {
         "size": n,
         "cases": cases,
@@ -241,27 +130,21 @@ def main(argv=None) -> int:
     parser.add_argument("--kinds", nargs="+", default=list(KINDS),
                         choices=list(KINDS))
     parser.add_argument("--reps", type=int, default=1)
-    parser.add_argument("--settled-size", type=int, default=400)
-    parser.add_argument("--settled-solves", type=int, default=40)
     parser.add_argument("--identity-size", type=int, default=60)
     parser.add_argument("--out", type=pathlib.Path,
                         default=REPO_ROOT / "BENCH_sweeps.json")
     parser.add_argument("--skip-solo", action="store_true",
-                        help="micro-benchmarks and identity only (CI smoke)")
+                        help="bit-identity matrix only (CI smoke)")
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 on any bit-identity mismatch or a "
-                             "settled speedup below --min-settled-speedup")
-    parser.add_argument("--min-settled-speedup", type=float, default=1.3)
+                        help="exit 1 on any bit-identity mismatch")
     parser.add_argument("--check-pr4", type=int, default=None, metavar="K",
                         help="require >= K kinds at >= 2x over the PR 4 "
                              "warm baselines (needs --size 500)")
     args = parser.parse_args(argv)
 
     avail = available_backends()
-    backends = [name for name in ("numpy", "cnative", "numba")
-                if avail.get(name)]
-    best = backends[-1] if backends else "numpy"
-    print(f"backends available: {avail} (best: {best})", flush=True)
+    backends = [name for name in ("numpy", "cnative") if avail.get(name)]
+    print(f"backends available: {avail}", flush=True)
 
     block: dict = {
         "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -269,8 +152,6 @@ def main(argv=None) -> int:
         "backend_versions": backend_versions(),
         "pr4_baseline_warm_s": PR4_WARM_S,
         "solo": [],
-        "settled": None,
-        "repair": None,
         "bit_identity": None,
     }
 
@@ -287,41 +168,6 @@ def main(argv=None) -> int:
         f"bit-identity mismatch: {case}" for case in identity["mismatches"]
     )
 
-    # The incremental layer is measured per backend: against numpy it
-    # isolates the algorithmic win (skip the O(mn) verify + tail); on a
-    # compiled backend the full pass is already cheap, so the margin is
-    # thinner.  The CI gate reads the numpy row — the claim it guards is
-    # the algorithmic one, and its margin is wide enough not to flake.
-    micro_backends = ["numpy"] + [b for b in (best,) if b != "numpy"]
-    block["settled"] = []
-    block["repair"] = []
-    for mb in micro_backends:
-        settled = bench_settled(args.settled_size, args.settled_solves, mb)
-        block["settled"].append(settled)
-        print(
-            f"settled  backend={mb:8s} n={settled['size']}  "
-            f"{settled['solves']} solves  "
-            f"noninc={settled['noninc_s']:.4f}s inc={settled['inc_s']:.4f}s  "
-            f"speedup={settled['speedup']:.2f}x  "
-            f"skipped={settled['rows_skipped']}",
-            flush=True,
-        )
-        if mb == "numpy" and settled["speedup"] < args.min_settled_speedup:
-            failures.append(
-                f"settled (numpy) speedup {settled['speedup']:.2f}x < "
-                f"{args.min_settled_speedup}x"
-            )
-        repair = bench_repair(args.settled_size, args.settled_solves, mb)
-        block["repair"].append(repair)
-        print(
-            f"repair   backend={mb:8s} n={repair['size']}  "
-            f"{repair['solves']} solves  "
-            f"noninc={repair['noninc_s']:.4f}s inc={repair['inc_s']:.4f}s  "
-            f"speedup={repair['speedup']:.2f}x  "
-            f"repairs={repair['perm_repairs']}",
-            flush=True,
-        )
-
     if not args.skip_solo:
         for kind in args.kinds:
             for backend in backends:
@@ -332,8 +178,7 @@ def main(argv=None) -> int:
                     f"solo {kind:8s} n={args.size:5d} backend={backend:8s} "
                     f"warm={row['warm_s']:.3f}s  "
                     f"vs-pr4={'--' if vs is None else f'{vs:.2f}x'}  "
-                    f"skipped={row['rows_skipped']} "
-                    f"repairs={row['perm_repairs']}",
+                    f"reuse={row['sort_reuse_rate']:.3f}",
                     flush=True,
                 )
 

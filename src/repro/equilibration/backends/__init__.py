@@ -19,17 +19,16 @@ Backends
     the per-row scan performs the very same IEEE-754 double operations
     in the very same order as the NumPy pipeline, hence bit-identical
     results.  Unavailable when no C compiler is on ``PATH``.
-``numba``
-    The same per-row scan as ``cnative``, ``@njit``-compiled, detected
-    at import.  Unavailable when :mod:`numba` is not installed — the
-    repo never requires it.
 
 Selection
 ---------
 :func:`get_backend` resolves, in order: an explicit ``name`` argument,
 the ``REPRO_KERNEL_BACKEND`` environment variable, then the ``numpy``
 default.  The special name ``auto`` picks the fastest available backend
-(``cnative`` > ``numba`` > ``numpy``).  Resolution happens when a
+(``cnative`` > ``numpy``).  An environment-variable name that is
+unknown or cannot be built falls back to ``numpy``, so a service always
+comes up; an explicit ``name`` that is unknown or unbuildable raises.
+Resolution happens when a
 :class:`~repro.equilibration.workspace.SweepWorkspace` is constructed,
 so every layer that builds workspaces — the solo drivers,
 ``sea_general``, ``solve_batch``, the sparse kernel, the parallel
@@ -64,31 +63,28 @@ __all__ = [
 BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 
 #: Preference order for ``auto``: compiled first, reference last.
-_AUTO_ORDER = ("cnative", "numba", "numpy")
+_AUTO_ORDER = ("cnative", "numpy")
 
 
 class KernelBackend:
     """Interface of one sweep backend.
 
     Subclasses set ``name``/``compiled`` and implement :meth:`select`;
-    the optional capabilities (:meth:`take_verify`, ``supports_sparse``
-    + :meth:`select_sparse`) are probed with ``getattr`` by the
-    workspaces, so a backend only implements what it accelerates.
+    the optional capabilities (:meth:`take_verify`, :meth:`resort_rows`,
+    ``supports_sparse`` + :meth:`select_sparse`) are probed with
+    ``getattr`` by the workspaces, so a backend only implements what it
+    accelerates.
     """
 
     name: str = "?"
     compiled: bool = False
     supports_sparse: bool = False
-    #: True when select() consumes the workspace's cached prefix sums
-    #: (the numpy path).  Compiled scans rebuild their running sums
-    #: per row, so the workspace skips maintaining the caches for them.
-    uses_caches: bool = False
 
-    def select(self, bs, ss, rhs, a_arr, fixed, counts, *,
-               cum_slope=None, cum_sb=None, denom=None, dpos=None,
-               ws=None):
+    def select(self, bs, ss, rhs, a_arr, fixed, counts, *, ws=None):
         """Sorted-segment selection: ``(r, n)`` sorted arrays → ``(r,)``
-        multipliers, bit-identical to the cold kernel's tail."""
+        multipliers, bit-identical to the cold kernel's tail.  ``ws`` is
+        the calling workspace, whose buffers a backend may use as
+        scratch."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -120,7 +116,7 @@ def _instantiate(name: str) -> KernelBackend | None:
         )
     try:
         backend = factory()
-    except Exception as exc:  # unavailable: no compiler, no numba, ...
+    except Exception as exc:  # unavailable: no compiler, ...
         _UNAVAILABLE[name] = f"{type(exc).__name__}: {exc}"
         return None
     _INSTANCES[name] = backend
@@ -130,10 +126,10 @@ def _instantiate(name: str) -> KernelBackend | None:
 def get_backend(name: str | None = None) -> KernelBackend:
     """Resolve a backend by name, env var, or the ``numpy`` default.
 
-    An explicitly requested backend that cannot be built raises (the
-    caller asked for it by name and should hear why); ``auto`` and the
-    env-var path degrade silently to the best available one, ending at
-    ``numpy`` which always exists.
+    An explicitly requested backend that is unknown or cannot be built
+    raises (the caller asked for it by name and should hear why);
+    ``auto`` and the env-var path degrade silently to the best
+    available one, ending at ``numpy`` which always exists.
     """
     explicit = name is not None
     if name is None:
@@ -144,15 +140,16 @@ def get_backend(name: str | None = None) -> KernelBackend:
             if backend is not None:
                 return backend
         raise RuntimeError("no kernel backend available")  # pragma: no cover
-    backend = _instantiate(name)
+    backend = _instantiate(name) if explicit or name in _FACTORIES else None
     if backend is None:
         if explicit:
             raise RuntimeError(
                 f"kernel backend {name!r} is unavailable: "
                 f"{_UNAVAILABLE.get(name, 'unknown reason')}"
             )
-        # Env var pointed at something this machine cannot build; a
-        # service must still come up, so fall back to the reference.
+        # The env var names a backend this build lacks or this machine
+        # cannot build; a service must still come up, so fall back to
+        # the reference.
         return _instantiate("numpy")  # type: ignore[return-value]
     return backend
 
@@ -168,25 +165,15 @@ def backend_versions() -> dict[str, str | None]:
     """Toolchain versions behind each backend (for bench metadata)."""
     import numpy
 
-    versions: dict[str, str | None] = {"numpy": numpy.__version__}
-    try:
-        import numba  # type: ignore
-
-        versions["numba"] = numba.__version__
-    except Exception:
-        versions["numba"] = None
     from repro.equilibration.backends.cnative import compiler_version
 
-    versions["cc"] = compiler_version()
-    return versions
+    return {"numpy": numpy.__version__, "cc": compiler_version()}
 
 
 # -- built-in registrations --------------------------------------------------
 
 from repro.equilibration.backends.numpy_backend import NumpyBackend  # noqa: E402
 from repro.equilibration.backends.cnative import CNativeBackend  # noqa: E402
-from repro.equilibration.backends.numba_backend import NumbaBackend  # noqa: E402
 
 register_backend("numpy", NumpyBackend)
 register_backend("cnative", CNativeBackend)
-register_backend("numba", NumbaBackend)

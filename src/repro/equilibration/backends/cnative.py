@@ -32,7 +32,10 @@ Three entry points:
 
 The shared object is cached under ``$REPRO_CNATIVE_CACHE`` (default
 ``~/.cache/repro-cnative``, falling back to the system temp dir), keyed
-by a hash of the source, so each toolchain compiles once.
+by a hash of the source, so each toolchain compiles once.  Each build
+compiles from its own temp source and is checked for every entry point
+before it is installed; a cached object that fails the same check is
+rebuilt.
 """
 
 from __future__ import annotations
@@ -340,6 +343,10 @@ CACHE_ENV = "REPRO_CNATIVE_CACHE"
 #: No FMA contraction — fused rounding would break bit-identity.
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
 
+#: Every symbol the backend calls; a cached object missing one is rebuilt.
+_ENTRY_POINTS = ("select_sorted", "take_verify", "resort_rows",
+                 "select_sparse_seg")
+
 _f64 = ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 _i64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _u8 = ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
@@ -378,19 +385,38 @@ def _cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), "repro-cnative")
 
 
-def _build_library() -> ctypes.CDLL:
-    cc = _find_compiler()
-    if cc is None:
-        raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
+def _library_path() -> str:
+    """Cache path of the shared object for the current kernel source."""
     digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
-    cache = _cache_dir()
-    so_path = os.path.join(cache, f"sweep-{digest}.so")
-    if not os.path.exists(so_path):
-        os.makedirs(cache, exist_ok=True)
-        src_path = os.path.join(cache, f"sweep-{digest}.c")
-        with open(src_path, "w") as fh:
+    return os.path.join(_cache_dir(), f"sweep-{digest}.so")
+
+
+def _load(path: str) -> ctypes.CDLL | None:
+    """Load a built kernel, or None when it is unloadable or lacks an
+    entry point (an empty source compiles into a symbol-less object)."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    if all(hasattr(lib, name) for name in _ENTRY_POINTS):
+        return lib
+    return None
+
+
+def _compile(cc: str, so_path: str) -> ctypes.CDLL:
+    """Compile into private temp files, vet the result, then install it.
+
+    Concurrent first builders each write their own source and object,
+    so no compiler reads a file another process is rewriting; only a
+    vetted object is moved onto the cache key.
+    """
+    cache = os.path.dirname(so_path)
+    os.makedirs(cache, exist_ok=True)
+    fd, src_path = tempfile.mkstemp(dir=cache, prefix="sweep-", suffix=".c")
+    tmp_so = src_path[: -len(".c")] + ".so"
+    try:
+        with os.fdopen(fd, "w") as fh:
             fh.write(_SOURCE)
-        tmp_so = so_path + f".tmp{os.getpid()}"
         proc = subprocess.run(
             [cc, *_CFLAGS, "-o", tmp_so, src_path, "-lm"],
             capture_output=True,
@@ -401,8 +427,29 @@ def _build_library() -> ctypes.CDLL:
             raise RuntimeError(
                 f"C backend compilation failed:\n{proc.stderr.strip()}"
             )
+        lib = _load(tmp_so)
+        if lib is None:
+            raise RuntimeError("C backend build lacks its entry points")
         os.replace(tmp_so, so_path)  # atomic under concurrent builders
-    lib = ctypes.CDLL(so_path)
+        return lib
+    finally:
+        for path in (src_path, tmp_so):
+            try:
+                os.remove(path)
+            except FileNotFoundError:
+                pass
+
+
+def _build_library() -> ctypes.CDLL:
+    cc = _find_compiler()
+    if cc is None:
+        raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
+    so_path = _library_path()
+    # A cached object that fails to load or misses an entry point (a
+    # build from a truncated source) is rebuilt, never trusted.
+    lib = _load(so_path) if os.path.exists(so_path) else None
+    if lib is None:
+        lib = _compile(cc, so_path)
     lib.select_sorted.restype = None
     lib.select_sorted.argtypes = [
         _f64, _f64, _f64, _f64, _u8, _i64,
@@ -449,12 +496,10 @@ class CNativeBackend(KernelBackend):
     def __init__(self) -> None:
         self._lib = _build_library()
 
-    def select(self, bs, ss, rhs, a_arr, fixed, counts, *,
-               cum_slope=None, cum_sb=None, denom=None, dpos=None,
-               ws=None):
-        # The scan rebuilds its running sums with the same sequential
-        # additions NumPy's cumsum performs, so the caches are simply
-        # unused here — results match with or without them.
+    def select(self, bs, ss, rhs, a_arr, fixed, counts, *, ws=None):
+        # The scan builds its running sums with the same sequential
+        # additions NumPy's cumsum performs; it needs no scratch from
+        # the workspace.
         r, n = bs.shape
         lam = np.empty(r)
         needs_py = np.empty(r, dtype=np.uint8)

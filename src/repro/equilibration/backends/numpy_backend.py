@@ -2,9 +2,9 @@
 
 This is the exact array pipeline of the cold kernel's tail
 (:func:`repro.equilibration.exact.solve_piecewise_linear`), factored so
-the workspace can hand it preallocated buffers and cached prefix sums.
-Every other backend is gated against it, and the compiled backends call
-back into it for the rows their scans cannot prove.
+the workspace can hand it preallocated buffers.  Every other backend is
+gated against it, and the compiled backends call back into it for the
+rows their scans cannot prove.
 """
 
 from __future__ import annotations
@@ -16,64 +16,52 @@ import numpy as np
 from repro.equilibration.backends import KernelBackend
 from repro.equilibration.exact import _select
 
-__all__ = ["NumpyBackend", "remap_subproblem_error", "select_rows_numpy"]
+__all__ = ["NumpyBackend", "select_rows_numpy"]
 
 _SUBPROBLEM_RE = re.compile(r"subproblem (\d+)")
 
 
-def remap_subproblem_error(exc: ValueError, rows) -> ValueError:
-    """Rewrite a subset-local row index in a kernel error to the global one.
-
-    The selection tail names the offending row in its ValueError; when
-    the tail ran over a row subset, that index is subset-local.  Callers
-    pass the subset's original row numbers so the surfaced error names
-    the same row a full-matrix call would.
-    """
-    match = _SUBPROBLEM_RE.search(str(exc))
-    if match is None:
-        return exc
-    local = int(match.group(1))
-    return ValueError(
-        _SUBPROBLEM_RE.sub(f"subproblem {int(rows[local])}", str(exc))
-    )
-
-
 def select_rows_numpy(rows, bs, ss, rhs, a_arr, fixed, counts):
-    """Reference tail over a row subset, with global error indices."""
+    """Reference tail over a row subset, with global error indices.
+
+    The tail names the offending row in its ValueError by its position
+    in the subset; the error is rewritten to name the original row, as
+    a full-matrix call would.
+    """
     try:
         return _tail(bs, ss, rhs, a_arr, fixed, counts)
     except ValueError as exc:
-        raise remap_subproblem_error(exc, rows) from None
+        match = _SUBPROBLEM_RE.search(str(exc))
+        if match is None:
+            raise
+        row = int(rows[int(match.group(1))])
+        raise ValueError(
+            _SUBPROBLEM_RE.sub(f"subproblem {row}", str(exc))
+        ) from None
 
 
-def _tail(bs, ss, rhs, a_arr, fixed, counts,
-          cum_slope=None, cum_sb=None, denom=None, dpos=None, ws=None):
+def _tail(bs, ss, rhs, a_arr, fixed, counts, ws=None):
     """The cold kernel's selection tail over sorted arrays.
 
-    ``cum_slope``/``cum_sb``/``denom``/``dpos`` are trusted caches (the
-    workspace recomputes them only for rows whose sorted values
-    changed); when absent they are rebuilt with the cold kernel's exact
-    operations.  ``ws`` supplies preallocated scratch for the
-    zero-allocation path.
+    The prefix sums, candidates and masks are built with the cold
+    kernel's exact operations; ``ws`` (a
+    :class:`~repro.equilibration.workspace.SweepWorkspace`) supplies
+    preallocated scratch for the zero-allocation path.
     """
     r, n = bs.shape
-    if cum_slope is None:
-        cum_slope = np.cumsum(ss, axis=1)
-    if cum_sb is None:
-        if ws is not None:
-            mul = ws._mul[:r]
-            np.multiply(ss, bs, out=mul)
-        else:
-            mul = ss * bs
-        cum_sb = np.cumsum(mul, axis=1)
-    if denom is None:
-        denom = cum_slope + a_arr[:, None]
     if ws is not None:
+        cum_slope = np.cumsum(ss, axis=1, out=ws._cum_slope[:r])
+        mul = np.multiply(ss, bs, out=ws._mul[:r])
+        cum_sb = np.cumsum(mul, axis=1, out=ws._cum_sb[:r])
+        denom = np.add(cum_slope, a_arr[:, None], out=ws._denom[:r])
         cand = ws._cand[:r]
         hi = ws._hi[:r]
         valid = ws._valid[:r]
         vtmp = ws._vtmp[:r]
     else:
+        cum_slope = np.cumsum(ss, axis=1)
+        cum_sb = np.cumsum(ss * bs, axis=1)
+        denom = cum_slope + a_arr[:, None]
         cand = np.empty((r, n))
         hi = np.empty((r, n))
         valid = np.empty((r, n), dtype=bool)
@@ -88,11 +76,8 @@ def _tail(bs, ss, rhs, a_arr, fixed, counts,
     np.greater_equal(cand, lo, out=valid)
     np.less_equal(cand, hi, out=vtmp)
     np.logical_and(valid, vtmp, out=valid)
-    if dpos is None:
-        np.greater(denom, 0.0, out=vtmp)
-        np.logical_and(valid, vtmp, out=valid)
-    else:
-        np.logical_and(valid, dpos, out=valid)
+    np.greater(denom, 0.0, out=vtmp)
+    np.logical_and(valid, vtmp, out=valid)
     np.isfinite(cand, out=vtmp)
     np.logical_and(valid, vtmp, out=valid)
 
@@ -107,13 +92,6 @@ class NumpyBackend(KernelBackend):
     name = "numpy"
     compiled = False
     supports_sparse = True
-    uses_caches = True
 
-    def select(self, bs, ss, rhs, a_arr, fixed, counts, *,
-               cum_slope=None, cum_sb=None, denom=None, dpos=None,
-               ws=None):
-        return _tail(
-            bs, ss, rhs, a_arr, fixed, counts,
-            cum_slope=cum_slope, cum_sb=cum_sb, denom=denom, dpos=dpos,
-            ws=ws,
-        )
+    def select(self, bs, ss, rhs, a_arr, fixed, counts, *, ws=None):
+        return _tail(bs, ss, rhs, a_arr, fixed, counts, ws=ws)

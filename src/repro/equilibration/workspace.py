@@ -25,26 +25,10 @@ shape:
   is re-applied with one ``np.take`` and verified with an ``O(mn)``
   pass; only rows that went out of order are re-``argsort``-ed.
 
-On top of those, two orthogonal accelerations (this module's
-"incremental active-set" layer and the pluggable compiled backends)
-exploit the *settling* itself:
-
-* **incremental sweeps** — :meth:`shift` diffs its result against the
-  breakpoints the previous solve consumed (content, not object
-  identity, so in-place mutation is always seen); when only ``k``
-  columns moved, the next
-  :meth:`solve` touches only the rows that depend on a moved dual
-  (gather + stable-order check on that subset), *repairs* a row that
-  went out of order by binary-searching the moved breakpoints into the
-  cached order (``O(k log n + n)`` instead of an ``O(n log n)``
-  argsort), skips the selection tail entirely for rows whose inputs did
-  not change (``lam`` is reused verbatim), and short-circuits the whole
-  sweep when *nothing* moved.  Disable with ``REPRO_INCREMENTAL=0`` or
-  ``SweepWorkspace(..., incremental=False)``.
-* **backends** — the gather/verify pass and the selection tail are
-  delegated to a :mod:`repro.equilibration.backends` backend (``numpy``
-  reference, compiled ``cnative``/``numba``), chosen per workspace or
-  via ``REPRO_KERNEL_BACKEND``.
+The gather/verify pass and the selection tail are delegated to a
+:mod:`repro.equilibration.backends` backend (``numpy`` reference or the
+compiled ``cnative``), chosen per workspace or via
+``REPRO_KERNEL_BACKEND``.
 
 Bit-identity
 ------------
@@ -60,42 +44,24 @@ the selection tail itself is the cold kernel's
 (:func:`repro.equilibration.exact._select` via the ``numpy`` backend;
 compiled backends replay its IEEE operations and are gated against it).
 
-The incremental layer keeps the same discipline:
-
-* a *repaired* row is accepted only if the spliced result passes the
-  very same stable-order characterization — so acceptance literally
-  proves it equals the unique stable argsort; any failure (ties landing
-  in the wrong place, NaN poisoning, a stale cache) falls back to a
-  real per-row argsort;
-* a *skipped* row reused its previous multiplier only when every input
-  that reaches it (its breakpoints — no moved dual touches an active
-  cell — its slopes, right-hand side and curvature) is unchanged, so a
-  recompute would reproduce the exact same bits;
-* a skipped *sweep* (nothing moved at all) returns a copy of the
-  previous multipliers for the same reason.
-
 Counters
 --------
 ``sweeps`` counts kernel calls through the workspace, ``rows_reused`` /
 ``rows_resorted`` count per-row permutation outcomes (a bind or the
-first sweep resorts everything), and :attr:`sort_reuse_rate` is their
-ratio.  The incremental layer adds ``rows_skipped`` (rows whose
-multiplier was reused without touching the tail), ``perm_repairs``
-(rows fixed by splice instead of argsort; they also count as reused)
-and ``full_resorts`` (sweeps that paid the full ``O(mn log n)``
-argsort).  All are surfaced by the parallel kernels and
+first sweep resorts everything), ``full_resorts`` counts sweeps that
+paid the full ``O(mn log n)`` argsort, and :attr:`sort_reuse_rate` is
+the reuse ratio.  All are surfaced by the parallel kernels and
 ``ServiceStats`` and recorded in ``BENCH_sweeps.json`` by
-``benchmarks/run_trajectory.py``.
+``benchmarks/run_trajectory.py``.  :meth:`counters_extended` still
+reports the retired ``rows_skipped`` / ``perm_repairs`` keys; both
+read 0.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.equilibration.backends import KernelBackend, get_backend
-from repro.equilibration.backends.numpy_backend import remap_subproblem_error
 from repro.equilibration.exact import (
     _BIG,
     _check_feasible,
@@ -103,13 +69,6 @@ from repro.equilibration.exact import (
 )
 
 __all__ = ["SweepWorkspace"]
-
-#: Set to ``0`` to disable incremental sweeps globally.
-INCREMENTAL_ENV = "REPRO_INCREMENTAL"
-
-
-def _incremental_default() -> bool:
-    return os.environ.get(INCREMENTAL_ENV, "").strip() != "0"
 
 
 class SweepWorkspace:
@@ -130,8 +89,7 @@ class SweepWorkspace:
 
     ``backend`` is a backend name, a
     :class:`~repro.equilibration.backends.KernelBackend` instance, or
-    ``None`` for the ``REPRO_KERNEL_BACKEND``/``numpy`` default;
-    ``incremental`` overrides the ``REPRO_INCREMENTAL`` default.
+    ``None`` for the ``REPRO_KERNEL_BACKEND``/``numpy`` default.
     """
 
     def __init__(
@@ -139,7 +97,6 @@ class SweepWorkspace:
         m: int,
         n: int,
         backend: "KernelBackend | str | None" = None,
-        incremental: bool | None = None,
     ) -> None:
         if m < 1 or n < 1:
             raise ValueError("workspace shape must be at least (1, 1)")
@@ -149,12 +106,10 @@ class SweepWorkspace:
             self._backend = backend
         else:
             self._backend = get_backend(backend)
-        self._incremental = (
-            _incremental_default() if incremental is None else bool(incremental)
-        )
         shape = (self.m, self.n)
         pair = (self.m, max(self.n - 1, 0))
-        # Float kernel buffers.
+        # Float kernel buffers (the prefix-sum/candidate ones are the
+        # numpy backend's tail scratch).
         self._b_eff = np.empty(shape)
         self._bs = np.empty(shape)
         self._ss = np.empty(shape)
@@ -164,15 +119,10 @@ class SweepWorkspace:
         self._denom = np.empty(shape)
         self._cand = np.empty(shape)
         self._hi = np.empty(shape)
-        # Two shift buffers: the next shift writes into whichever one the
-        # last consumed sweep is NOT holding, so its content can be
-        # diffed against what that sweep actually saw.
         self._shift = np.empty(shape)
-        self._shift2 = np.empty(shape)
         # Boolean buffers.
         self._valid = np.empty(shape, dtype=bool)
         self._vtmp = np.empty(shape, dtype=bool)
-        self._dpos = np.empty(shape, dtype=bool)
         self._pair1 = np.empty(pair, dtype=bool)
         self._pair2 = np.empty(pair, dtype=bool)
         self._active = np.empty(shape, dtype=bool)
@@ -193,27 +143,10 @@ class SweepWorkspace:
         self._has_inactive = True
         self._zeros = np.zeros(self.m)
         self._eq_prep = None  # (x0, gamma, mask, base, slopes) of equilibrate_rows
-        # Incremental state: the moved-column hint produced by diffing a
-        # fresh shift() against the breakpoints the last successful
-        # solve consumed, plus that solve's outputs/caches.
-        self._consumed_shift = None  # breakpoint array of the last solve
-        self._pending_moved = None  # moved-column hint for the next solve
-        self._last_shift_view = None  # the exact array shift() returned
-        self._mu_last = np.empty(self.n)  # duals seen by the last shift()
-        self._mu_last_valid = False
-        self._mu_stack_last = None  # dual stack of the last shift_stack()
-        self._lam_prev = np.empty(self.m)
-        self._rhs_prev = np.empty(self.m)
-        self._a_cache = np.empty(self.m)
-        self._lam_valid = False  # lam/rhs/a caches hold the last solve
-        self._inc_ready = False  # bs/ss/cum caches match the last solve
-        self._be_synced = False  # _b_eff holds the last effective matrix
         # Counters.
         self.sweeps = 0
         self.rows_reused = 0
         self.rows_resorted = 0
-        self.rows_skipped = 0
-        self.perm_repairs = 0
         self.full_resorts = 0
         self.binds = 0
 
@@ -234,11 +167,6 @@ class SweepWorkspace:
         return self._backend.name
 
     @property
-    def incremental(self) -> bool:
-        """Whether incremental (diff-driven) sweeps are enabled."""
-        return self._incremental
-
-    @property
     def sort_reuse_rate(self) -> float:
         """Fraction of row-sorts answered by the cached permutation."""
         total = self.rows_reused + self.rows_resorted
@@ -249,13 +177,18 @@ class SweepWorkspace:
         return (self.sweeps, self.rows_reused, self.rows_resorted)
 
     def counters_extended(self) -> dict:
-        """All counters, including the incremental-layer ones."""
+        """All counters plus the backend name.
+
+        ``rows_skipped`` and ``perm_repairs`` are retired (every sweep
+        takes the full path) and always read 0; the keys stay for
+        readers that report them.
+        """
         return {
             "sweeps": self.sweeps,
             "rows_reused": self.rows_reused,
             "rows_resorted": self.rows_resorted,
-            "rows_skipped": self.rows_skipped,
-            "perm_repairs": self.perm_repairs,
+            "rows_skipped": 0,
+            "perm_repairs": 0,
             "full_resorts": self.full_resorts,
             "binds": self.binds,
             "backend": self._backend.name,
@@ -293,8 +226,6 @@ class SweepWorkspace:
         # slopes).  The flag lets the next full rebind keep the seed
         # instead of dropping it like an ordinary stale permutation.
         self._seeded = True
-        # The cached sorted arrays no longer correspond to this order.
-        self._inc_ready = False
         # If already bound, refresh the permuted slopes now; otherwise
         # bind() does it when the slopes arrive.
         if self._slopes is not None:
@@ -356,7 +287,6 @@ class SweepWorkspace:
             self._ss[:r] = np.take(self._slopes_flat, self._flat_idx[:r])
         self._order_valid = keep_seed
         self._seeded = False
-        self._drop_incremental_state()
         self.binds += 1
 
     def retain(self, keep: np.ndarray, slopes: np.ndarray | None = None) -> None:
@@ -389,119 +319,26 @@ class SweepWorkspace:
                 SL.reshape(-1) if SL.flags.c_contiguous
                 else np.ascontiguousarray(SL).reshape(-1)
             )
-        # Row identities changed; the uncompacted caches are stale.
-        self._drop_incremental_state()
-
-    def _drop_incremental_state(self) -> None:
-        self._consumed_shift = None
-        self._pending_moved = None
-        self._last_shift_view = None
-        self._mu_last_valid = False
-        self._mu_stack_last = None
-        self._lam_valid = False
-        self._inc_ready = False
-        self._be_synced = False
 
     # -- driver helpers -----------------------------------------------------
-
-    def _shift_buffer(self) -> np.ndarray:
-        """The shift buffer the last consumed sweep is *not* holding.
-
-        :meth:`_record_success` pins the breakpoint array the last
-        successful solve consumed; alternating between two private
-        buffers keeps that content intact so the next shift can be
-        diffed against *exactly what the solve saw* — regardless of any
-        in-place mutation of the caller's base or dual arrays.  (The
-        returned buffer is workspace-owned: callers must not mutate a
-        shift result after handing it to :meth:`solve`.)
-        """
-        consumed = self._consumed_shift
-        if consumed is not None and np.may_share_memory(self._shift, consumed):
-            return self._shift2
-        return self._shift
 
     def shift(self, base: np.ndarray, opposite: np.ndarray) -> np.ndarray:
         """``base - opposite[None, :]`` into a reusable buffer.
 
         The per-sweep breakpoint matrix of every diagonal SEA phase has
         this form; routing it through the workspace removes the last
-        per-sweep ``(m, n)`` allocation of the drivers — and, when
-        incremental sweeps are on, diffing the result against the
-        breakpoints the previous solve consumed records *which columns
-        moved*, the hint the next :meth:`solve` uses to touch only
-        affected rows.  The diff is on content, so in-place mutation of
-        ``base`` (or a NaN dual — ``!=`` is true for NaN) always counts
-        as moved; poisoning can never ride a skip path.
+        per-sweep ``(m, n)`` allocation of the drivers.  The result is
+        workspace-owned and overwritten by the next shift.
         """
         r = base.shape[0]
-        out = np.subtract(base, opposite[None, :], out=self._shift_buffer()[:r])
-        moved = None
-        if self._incremental:
-            consumed = self._consumed_shift
-            if consumed is not None and consumed.shape == out.shape:
-                # O(n) prefilter on the duals themselves: while the
-                # iteration is still moving everything (the early-sweep
-                # regime), skip the O(mn) content diff outright.  Only a
-                # heuristic — soundness rests on the content diff below,
-                # which still sees in-place base mutations.
-                few_duals_moved = True
-                if self._mu_last_valid and opposite.shape == (self.n,):
-                    few_duals_moved = (
-                        np.count_nonzero(opposite != self._mu_last)
-                        <= self.n // 4
-                    )
-                if few_duals_moved:
-                    vt = self._vtmp[:r]
-                    np.not_equal(out, consumed, out=vt)
-                    moved = np.flatnonzero(vt.any(axis=0))
-                    if moved.size > self.n // 4:
-                        # Most columns moved: the subset bookkeeping
-                        # costs more than the plain vectorized pass.
-                        moved = None
-            if opposite.shape == (self.n,):
-                np.copyto(self._mu_last, opposite)
-                self._mu_last_valid = True
-        self._pending_moved = moved
-        self._last_shift_view = out
-        return out
+        return np.subtract(base, opposite[None, :], out=self._shift[:r])
 
     def shift_stack(self, base3: np.ndarray, opposite2: np.ndarray) -> np.ndarray:
-        """Batched shift: ``(k, m, n) - (k, 1, n)`` flattened to 2-D.
-
-        Incremental support here is all-or-nothing: when the whole
-        breakpoint stack is exactly unchanged (content compare against
-        what the last solve consumed; ``array_equal`` is false under
-        NaN, so poisoning disables the skip) the next :meth:`solve` can
-        short-circuit; any partial motion takes the normal path
-        (per-block repair is not worth the ragged bookkeeping).
-        """
+        """Batched shift: ``(k, m, n) - (k, 1, n)`` flattened to 2-D."""
         k, mm, nn = base3.shape
-        buf = self._shift_buffer()
-        view = buf.reshape(-1)[: k * mm * nn].reshape(k, mm, nn)
+        view = self._shift.reshape(-1)[: k * mm * nn].reshape(k, mm, nn)
         np.subtract(base3, opposite2[:, None, :], out=view)
-        out = view.reshape(k * mm, nn)
-        moved = None
-        if self._incremental:
-            consumed = self._consumed_shift
-            mu_last = self._mu_stack_last
-            if consumed is not None and consumed.shape == out.shape:
-                # O(kn) dual prefilter before the O(kmn) content
-                # compare; a heuristic only — the content compare stays
-                # the soundness authority (in-place base mutation).
-                if (
-                    mu_last is not None
-                    and mu_last.shape == opposite2.shape
-                    and np.array_equal(mu_last, opposite2)
-                    and np.array_equal(out, consumed)
-                ):
-                    moved = np.empty(0, dtype=np.intp)
-            if mu_last is not None and mu_last.shape == opposite2.shape:
-                np.copyto(mu_last, opposite2)
-            else:
-                self._mu_stack_last = np.array(opposite2, dtype=np.float64)
-        self._pending_moved = moved
-        self._last_shift_view = out
-        return out
+        return view.reshape(k * mm, nn)
 
     def equilibrate_prep(self, x0, gamma, mask):
         """Cached ``(base, slopes)`` for :func:`~repro.equilibration.
@@ -546,9 +383,8 @@ class SweepWorkspace:
         if self._slopes is None:
             raise RuntimeError("workspace is not bound; call bind(slopes) first")
         r = self._rows
-        n = self.n
         B = np.asarray(breakpoints, dtype=np.float64)
-        if B.shape != (r, n):
+        if B.shape != (r, self.n):
             raise ValueError(
                 "breakpoints and slopes must be equal-shape 2-D arrays"
             )
@@ -561,60 +397,8 @@ class SweepWorkspace:
         counts = self._counts[:r]
         _check_feasible(rhs, fixed, counts)
 
-        # Consume the moved-duals hint (one-shot, and only when the
-        # breakpoints are the exact array the matching shift produced).
-        hint = None
-        if (
-            self._incremental
-            and self._pending_moved is not None
-            and breakpoints is self._last_shift_view
-        ):
-            hint = self._pending_moved
-        self._pending_moved = None
-        self._last_shift_view = None
-
-        if hint is not None and self._lam_valid:
-            unchanged_terms = np.array_equal(
-                rhs, self._rhs_prev[:r]
-            ) and np.array_equal(a_arr, self._a_cache[:r])
-            if hint.size == 0 and unchanged_terms:
-                # Nothing moved since the last successful sweep over
-                # this exact binding: a recompute would reproduce the
-                # previous multipliers bit for bit.
-                self.sweeps += 1
-                self.rows_skipped += r
-                return self._lam_prev[:r].copy()
-
-        if hint is not None and hint.size and self._inc_ready and self._order_valid:
-            return self._solve_incremental(
-                B, hint, rhs, a_arr, fixed, counts, r, n
-            )
-        return self._solve_full(B, rhs, a_arr, fixed, counts, r, n)
-
-    # -- full (vectorized) path ---------------------------------------------
-
-    def _effective(self, B: np.ndarray, r: int) -> np.ndarray:
-        """Effective breakpoints: inert cells pinned to the _BIG sentinel."""
-        if self._has_inactive:
-            be = self._b_eff[:r]
-            np.copyto(be, B)
-            np.copyto(be, _BIG, where=self._inactive[:r])
-            self._be_synced = True
-        elif B.flags.c_contiguous:
-            be = B  # fully active: read the caller's buffer directly
-        else:
-            be = self._b_eff[:r]
-            np.copyto(be, B)
-        return be
-
-    def _solve_full(self, B, rhs, a_arr, fixed, counts, r, n):
-        # A raising sweep leaves partially updated buffers behind; the
-        # flags come back in _record_success only after full success.
-        self._lam_valid = False
-        self._inc_ready = False
         be = self._effective(B, r)
         be_flat = be.reshape(-1)
-
         bs = self._bs[:r]
         ss = self._ss[:r]
         order = self._order[:r]
@@ -640,236 +424,20 @@ class SweepWorkspace:
             self.rows_resorted += r
             self.full_resorts += 1
         self.sweeps += 1
+        return self._backend.select(bs, ss, rhs, a_arr, fixed, counts, ws=self)
 
-        if self._backend.uses_caches:
-            cum_slope = self._cum_slope[:r]
-            np.cumsum(ss, axis=1, out=cum_slope)
-            mul = self._mul[:r]
-            np.multiply(ss, bs, out=mul)
-            cum_sb = self._cum_sb[:r]
-            np.cumsum(mul, axis=1, out=cum_sb)
-            denom = self._denom[:r]
-            np.add(cum_slope, a_arr[:, None], out=denom)
-            dpos = self._dpos[:r]
-            np.greater(denom, 0.0, out=dpos)
-            lam = self._backend.select(
-                bs, ss, rhs, a_arr, fixed, counts,
-                cum_slope=cum_slope, cum_sb=cum_sb, denom=denom,
-                dpos=dpos, ws=self,
-            )
-        else:
-            lam = self._backend.select(
-                bs, ss, rhs, a_arr, fixed, counts, ws=self
-            )
-        self._record_success(B, lam, rhs, a_arr, r)
-        return lam
-
-    # -- incremental path ---------------------------------------------------
-
-    def _solve_incremental(self, B, hint, rhs, a_arr, fixed, counts, r, n):
-        """Diff-driven sweep: touch only rows that depend on a moved dual.
-
-        ``hint`` is the (nonempty, ascending) list of moved dual
-        columns.  ``_inc_ready`` guarantees ``_bs``/``_ss`` (and, for a
-        cache-using backend, the prefix-sum buffers) still describe the
-        previous successful sweep under the current permutation.
-        """
-        bs = self._bs[:r]
-        ss = self._ss[:r]
-        order = self._order[:r]
-        active = self._active[:r]
-        # Rows that depend on a moved dual through an *active* cell.  If
-        # most rows are affected, the subset bookkeeping (fancy-indexed
-        # gathers, per-row repairs) loses to the contiguous full pass.
-        affected = np.flatnonzero(active[:, hint].any(axis=1))
-        if 2 * affected.size >= r:
-            return self._solve_full(B, rhs, a_arr, fixed, counts, r, n)
-        # Same failure discipline as the full path: a sweep that raises
-        # mid-update must not leave the incremental caches trusted.
-        lam_valid = self._lam_valid
-        self._lam_valid = False
-        self._inc_ready = False
-
-        # Refresh the effective breakpoints on the moved columns only.
-        # Inactive cells stay pinned at the sentinel, so only active
-        # cells in moved columns can have changed.
+    def _effective(self, B: np.ndarray, r: int) -> np.ndarray:
+        """Effective breakpoints: inert cells pinned to the _BIG sentinel."""
         if self._has_inactive:
-            if not self._be_synced:
-                be = self._effective(B, r)
-            else:
-                be = self._b_eff[:r]
-                sub = B[:, hint]
-                if self._inactive[:r][:, hint].any():
-                    sub = sub.copy()
-                    sub[self._inactive[:r][:, hint]] = _BIG
-                be[:, hint] = sub
+            be = self._b_eff[:r]
+            np.copyto(be, B)
+            np.copyto(be, _BIG, where=self._inactive[:r])
         elif B.flags.c_contiguous:
-            be = B
+            be = B  # fully active: read the caller's buffer directly
         else:
             be = self._b_eff[:r]
             np.copyto(be, B)
-        be_flat = be.reshape(-1)
-
-        resorted_now = 0
-        repaired_now = 0
-        if affected.size:
-            new_rows = np.take(be_flat, self._flat_idx[affected])
-            bs[affected] = new_rows
-            if n > 1:
-                left = new_rows[:, :-1]
-                right = new_rows[:, 1:]
-                okp = (right > left) | (
-                    (right == left) & self._ord_incr[affected]
-                )
-                failed = affected[~okp.all(axis=1)]
-            else:
-                failed = np.empty(0, dtype=np.intp)
-            if failed.size and failed.size <= max(4, r // 16):
-                # Few stale rows: splice the moved breakpoints back
-                # into each cached order (O(k log n + n) per row).
-                colmask = np.zeros(n, dtype=bool)
-                colmask[hint] = True
-                for i in failed:
-                    if self._repair_row(i, be, colmask):
-                        repaired_now += 1
-                    else:
-                        o = np.argsort(be[i], kind="stable")
-                        order[i] = o
-                        bs[i] = be[i][o]
-                        ss[i] = self._slopes[i][o]
-                        resorted_now += 1
-                self._refresh_perm(failed)
-            elif failed.size:
-                # Many stale rows: the per-row Python splices cost more
-                # than one bulk resort over the failed subset.
-                self._resort(be, bs, ss, order, failed)
-                resorted_now = failed.size
-        self.rows_reused += r - resorted_now
-        self.rows_resorted += resorted_now
-        self.perm_repairs += repaired_now
-        self.sweeps += 1
-
-        # Refresh the per-row prefix-sum caches for the touched rows
-        # (row-wise ops: recomputing a subset is bit-identical to the
-        # full pass).  Cache-free backends rebuild these internally.
-        a_changed = np.flatnonzero(a_arr != self._a_cache[:r])
-        use_caches = self._backend.uses_caches
-        if use_caches and affected.size:
-            ss_sub = ss[affected]
-            bs_sub = bs[affected]
-            self._cum_slope[affected] = np.cumsum(ss_sub, axis=1)
-            self._cum_sb[affected] = np.cumsum(ss_sub * bs_sub, axis=1)
-        if use_caches:
-            stale_denom = np.union1d(affected, a_changed)
-            if stale_denom.size:
-                dn = self._cum_slope[stale_denom] + a_arr[stale_denom][:, None]
-                self._denom[stale_denom] = dn
-                self._dpos[stale_denom] = dn > 0.0
-
-        # Rows whose every input is unchanged reuse their multiplier.
-        if lam_valid:
-            rhs_changed = np.flatnonzero(rhs != self._rhs_prev[:r])
-            compute = np.union1d(np.union1d(affected, rhs_changed), a_changed)
-        else:
-            compute = np.arange(r)
-        lam = np.empty(r)
-        n_skip = r - compute.size
-        if n_skip:
-            skip_mask = np.ones(r, dtype=bool)
-            skip_mask[compute] = False
-            lam[skip_mask] = self._lam_prev[:r][skip_mask]
-            self.rows_skipped += n_skip
-
-        if compute.size == r:
-            if use_caches:
-                lam_c = self._backend.select(
-                    bs, ss, rhs, a_arr, fixed, counts,
-                    cum_slope=self._cum_slope[:r], cum_sb=self._cum_sb[:r],
-                    denom=self._denom[:r], dpos=self._dpos[:r], ws=self,
-                )
-            else:
-                lam_c = self._backend.select(
-                    bs, ss, rhs, a_arr, fixed, counts, ws=self
-                )
-            lam = lam_c
-        elif compute.size:
-            kwargs = {}
-            if use_caches:
-                kwargs = {
-                    "cum_slope": self._cum_slope[compute],
-                    "cum_sb": self._cum_sb[compute],
-                    "denom": self._denom[compute],
-                    "dpos": self._dpos[compute],
-                }
-            try:
-                lam[compute] = self._backend.select(
-                    np.ascontiguousarray(bs[compute]),
-                    np.ascontiguousarray(ss[compute]),
-                    rhs[compute], a_arr[compute], fixed[compute],
-                    counts[compute], **kwargs,
-                )
-            except ValueError as exc:
-                raise remap_subproblem_error(exc, compute) from None
-        self._record_success(B, lam, rhs, a_arr, r)
-        return lam
-
-    def _repair_row(self, i: int, be: np.ndarray, colmask: np.ndarray) -> bool:
-        """Splice the moved breakpoints of row ``i`` back into sorted order.
-
-        The changed cells are removed from the cached sorted sequence
-        (the kept subsequence of a stable order is still stably
-        ordered), their new values binary-searched in, and the splice
-        accepted only if the result passes the stable-order
-        characterization — which *is* the uniqueness proof: exactly one
-        permutation sorts the row nondecreasing with ties in increasing
-        original index, so passing means the splice equals the stable
-        argsort bit for bit.  Ties that land wrong, NaN anywhere, or a
-        stale cache simply fail the check and the caller argsorts.
-        """
-        o = self._order[i]
-        moved_pos = colmask[o] & self._active[i][o]
-        if not moved_pos.any():
-            return False
-        kept = self._bs[i][~moved_pos]
-        kept_order = o[~moved_pos]
-        cols = o[moved_pos]
-        vals = be[i][cols]
-        st = np.lexsort((cols, vals))
-        vals = vals[st]
-        cols = cols[st]
-        pos = np.searchsorted(kept, vals, side="left")
-        new_bs = np.insert(kept, pos, vals)
-        new_order = np.insert(kept_order, pos, cols)
-        if new_bs.size > 1:
-            left = new_bs[:-1]
-            right = new_bs[1:]
-            ok = (right > left) | (
-                (right == left) & (new_order[1:] > new_order[:-1])
-            )
-            if not ok.all():
-                return False
-        self._order[i] = new_order
-        self._bs[i] = new_bs
-        self._ss[i] = self._slopes[i][new_order]
-        return True
-
-    def _record_success(self, B, lam, rhs, a_arr, r) -> None:
-        self._lam_prev[:r] = lam
-        self._rhs_prev[:r] = rhs
-        self._a_cache[:r] = a_arr
-        self._lam_valid = True
-        self._inc_ready = self._order_valid
-        # Pin the consumed breakpoints only when they live in one of the
-        # workspace's own shift buffers: a caller-owned array can be
-        # mutated in place behind our back, so it can never serve as the
-        # reference content a later diff is judged against.
-        if B is not None and (
-            np.may_share_memory(B, self._shift)
-            or np.may_share_memory(B, self._shift2)
-        ):
-            self._consumed_shift = B
-        else:
-            self._consumed_shift = None
+        return be
 
     # -- permutation internals ----------------------------------------------
 

@@ -109,9 +109,9 @@ def _solve_block(args):
     """Solve one row block; returns ``(lam, stats_dict_or_None)``.
 
     The counter deltas ride back with the result (pickled, for process
-    workers) so the parent kernel can aggregate sort-reuse, skip and
-    repair rates it never observes directly; ``None`` stats mean the
-    block ran the cold kernel (no workspace, nothing to count).
+    workers) so the parent kernel can aggregate sort-reuse rates it
+    never observes directly; ``None`` stats mean the block ran the cold
+    kernel (no workspace, nothing to count).
     """
     token, idx, breakpoints, slopes, target, a, c = args
     if token is not None:
@@ -126,8 +126,6 @@ def _solve_block(args):
                 return lam, {
                     "reused": after["rows_reused"] - before["rows_reused"],
                     "resorted": after["rows_resorted"] - before["rows_resorted"],
-                    "skipped": after["rows_skipped"] - before["rows_skipped"],
-                    "repairs": after["perm_repairs"] - before["perm_repairs"],
                     "full_resorts": (
                         after["full_resorts"] - before["full_resorts"]
                     ),
@@ -215,8 +213,6 @@ class ParallelKernel:
         self.sort_sweeps = 0  # workspace-backed fork/join phases
         self.sort_rows_reused = 0  # block rows served by a cached permutation
         self.sort_rows_resorted = 0  # block rows that re-argsorted
-        self.sort_rows_skipped = 0  # block rows whose multiplier was reused
-        self.sort_perm_repairs = 0  # block rows fixed by splice repair
         self.sort_full_resorts = 0  # block sweeps that paid a full argsort
         self.backend_solves: dict[str, int] = {}  # backend name -> block solves
 
@@ -320,8 +316,6 @@ class ParallelKernel:
             if stats is not None:
                 self.sort_rows_reused += stats["reused"]
                 self.sort_rows_resorted += stats["resorted"]
-                self.sort_rows_skipped += stats["skipped"]
-                self.sort_perm_repairs += stats["repairs"]
                 self.sort_full_resorts += stats["full_resorts"]
                 name = stats["backend"]
                 self.backend_solves[name] = self.backend_solves.get(name, 0) + 1

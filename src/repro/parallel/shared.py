@@ -126,8 +126,6 @@ class SharedMemoryKernel:
         self.sort_sweeps = 0
         self.sort_rows_reused = 0
         self.sort_rows_resorted = 0
-        self.sort_rows_skipped = 0
-        self.sort_perm_repairs = 0
         self.sort_full_resorts = 0
         self.backend_solves: dict[str, int] = {}
         # Belt and braces: unlink segments even if close() is never
@@ -206,8 +204,6 @@ class SharedMemoryKernel:
             if stats is not None:
                 self.sort_rows_reused += stats["reused"]
                 self.sort_rows_resorted += stats["resorted"]
-                self.sort_rows_skipped += stats["skipped"]
-                self.sort_perm_repairs += stats["repairs"]
                 self.sort_full_resorts += stats["full_resorts"]
                 name = stats["backend"]
                 self.backend_solves[name] = self.backend_solves.get(name, 0) + 1

@@ -45,14 +45,14 @@ class ServiceStats:
     permutation outcomes, summed at snapshot time over the shared
     kernel's per-block workspaces *and* the service-owned workspace
     pairs (disjoint sources: a kernel never counts a caller-provided
-    workspace).  :attr:`sort_reuse_rate` is their ratio.  The
-    incremental/backend extension of that block: ``sort_rows_skipped``
-    counts rows whose multiplier was reused without touching the
-    selection tail, ``sort_perm_repairs`` counts rows fixed by a splice
-    repair instead of an argsort, ``sort_full_resorts`` counts sweeps
-    that paid a full ``O(mn log n)`` argsort, and ``backend_solves``
-    buckets workspace-backed solves by kernel backend name
-    (``numpy``/``cnative``/``numba``).
+    workspace).  :attr:`sort_reuse_rate` is their ratio.
+    ``sort_full_resorts`` counts sweeps that paid a full
+    ``O(mn log n)`` argsort, and ``backend_solves`` buckets
+    workspace-backed solves by kernel backend name
+    (``numpy``/``cnative``).  ``sort_rows_skipped`` and
+    ``sort_perm_repairs`` are retired (every sweep takes the full
+    path); they stay in the snapshot, JSON and Prometheus views and
+    always read 0.
 
     The durability/overload block: ``overload_rejections`` counts
     requests refused at admission (``reject-newest`` or a draining

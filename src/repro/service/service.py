@@ -956,8 +956,6 @@ class SolveService:
         sweeps = getattr(self.kernel, "sort_sweeps", 0)
         reused = getattr(self.kernel, "sort_rows_reused", 0)
         resorted = getattr(self.kernel, "sort_rows_resorted", 0)
-        skipped = getattr(self.kernel, "sort_rows_skipped", 0)
-        repairs = getattr(self.kernel, "sort_perm_repairs", 0)
         full_resorts = getattr(self.kernel, "sort_full_resorts", 0)
         backend_solves = dict(getattr(self.kernel, "backend_solves", {}))
         for pair in self._workspaces.values():
@@ -966,8 +964,6 @@ class SolveService:
                 sweeps += ext["sweeps"]
                 reused += ext["rows_reused"]
                 resorted += ext["rows_resorted"]
-                skipped += ext["rows_skipped"]
-                repairs += ext["perm_repairs"]
                 full_resorts += ext["full_resorts"]
                 name = ext["backend"]
                 backend_solves[name] = (
@@ -976,8 +972,6 @@ class SolveService:
         self._stats.sort_sweeps = sweeps
         self._stats.sort_rows_reused = reused
         self._stats.sort_rows_resorted = resorted
-        self._stats.sort_rows_skipped = skipped
-        self._stats.sort_perm_repairs = repairs
         self._stats.sort_full_resorts = full_resorts
         self._stats.backend_solves = backend_solves
         if self._journal is not None:

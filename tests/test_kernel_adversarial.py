@@ -9,13 +9,17 @@ constructed, not sampled.
 import numpy as np
 import pytest
 
+from repro.equilibration.backends import available_backends
 from repro.equilibration.exact import recover_flows, solve_piecewise_linear
 from repro.equilibration.scalar import (
     evaluate_piecewise_linear,
     solve_piecewise_linear_scalar,
 )
+from repro.equilibration.workspace import SweepWorkspace
 from repro.extensions.bounded import solve_piecewise_linear_bounded
 from repro.sparse.kernel import solve_piecewise_linear_sparse
+
+BACKENDS = [name for name, ok in available_backends().items() if ok]
 
 
 def _check_root(lam, b, s, target, a=0.0, c=0.0, rtol=1e-9):
@@ -194,22 +198,18 @@ class TestWorkspaceAdversarial:
             lam_w, solve_piecewise_linear(base - mu[None, :], slopes, target)
         )
 
-        # Subset path: swap two breakpoints in one row only.  The stale
-        # row is fixed by a subset resort or — when the incremental
-        # layer catches the two moved columns — a permutation repair;
-        # either way only a strict subset of rows is touched.
+        # Subset path: swap two breakpoints in one row only, so only a
+        # strict subset of rows is resorted.
         base2 = base.copy()
         base2[3, [0, 1]] = base2[3, [1, 0]] + np.array([1.0, -1.0])
         before = ws.rows_resorted
-        before_rep = ws.perm_repairs
         lam_w = solve_piecewise_linear(
             ws.shift(base2, mu), slopes, target, workspace=ws
         )
         np.testing.assert_array_equal(
             lam_w, solve_piecewise_linear(base2 - mu[None, :], slopes, target)
         )
-        subset_fixed = (ws.rows_resorted - before) + (ws.perm_repairs - before_rep)
-        assert 0 < subset_fixed < m
+        assert 0 < ws.rows_resorted - before < m
 
         # Full path: negate everything, reversing every row's order.
         base3 = -base2
@@ -305,3 +305,97 @@ class TestWorkspaceAdversarial:
         with pytest.raises(ValueError) as cold_err:
             solve_piecewise_linear(bad, slopes, target)
         assert str(warm_err.value) == str(cold_err.value)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestWorkspaceMatchesCold:
+    """Warm workspace sweeps vs the cold kernel, on every backend.
+
+    Each case walks one workspace through several sweeps and compares
+    every result with a fresh cold ``solve_piecewise_linear`` call on
+    the same breakpoints: equal bits, or the same error.
+    """
+
+    @staticmethod
+    def _problem(rng, m, n):
+        base = rng.uniform(-5.0, 5.0, (m, n))
+        slopes = rng.uniform(0.5, 2.0, (m, n))
+        target = rng.uniform(5.0, 20.0, m)
+        return base, slopes, target
+
+    @staticmethod
+    def _warm(ws, base, slopes, target, mu):
+        return solve_piecewise_linear(
+            ws.shift(base, mu), slopes, target, workspace=ws
+        )
+
+    def test_tie_heavy_dual_walk(self, backend, rng):
+        # Duplicated breakpoint levels: every dual nudge creates or
+        # breaks ties, attacking the stable-order acceptance check.
+        m, n = 15, 20
+        levels = np.array([-2.0, 0.0, 0.0, 1.0, 3.0])
+        base = levels[rng.integers(0, levels.size, (m, n))]
+        slopes = rng.uniform(0.5, 2.0, (m, n))
+        target = rng.uniform(5.0, 30.0, m)
+        ws = SweepWorkspace(m, n, backend=backend)
+        mu = np.zeros(n)
+        for _ in range(11):
+            np.testing.assert_array_equal(
+                self._warm(ws, base, slopes, target, mu),
+                solve_piecewise_linear(base - mu[None, :], slopes, target),
+            )
+            mu = mu.copy()
+            mu[int(rng.integers(n))] += rng.choice([-1.0, 1.0, 2.0])
+
+    def test_nan_written_in_place(self, backend, rng):
+        m, n = 8, 10
+        base, slopes, target = self._problem(rng, m, n)
+        ws = SweepWorkspace(m, n, backend=backend)
+        mu = np.zeros(n)
+        self._warm(ws, base, slopes, target, mu)
+        # In place, into the caller's array: same object, new content.
+        base[2, 3] = np.nan
+        np.testing.assert_array_equal(
+            self._warm(ws, base, slopes, target, mu),
+            solve_piecewise_linear(base, slopes, target),
+        )
+        # An all-NaN row has no finite candidate: the same error as the
+        # cold kernel, and the failed sweep leaves nothing stale behind.
+        base[2] = np.nan
+        with pytest.raises(ValueError) as warm_err:
+            self._warm(ws, base, slopes, target, mu)
+        with pytest.raises(ValueError) as cold_err:
+            solve_piecewise_linear(base, slopes, target)
+        assert str(warm_err.value) == str(cold_err.value)
+        base[2] = rng.uniform(-5.0, 5.0, n)
+        np.testing.assert_array_equal(
+            self._warm(ws, base, slopes, target, mu),
+            solve_piecewise_linear(base, slopes, target),
+        )
+
+    def test_base_scaled_in_place(self, backend, rng):
+        m, n = 6, 7
+        base, slopes, target = self._problem(rng, m, n)
+        ws = SweepWorkspace(m, n, backend=backend)
+        mu = np.zeros(n)
+        self._warm(ws, base, slopes, target, mu)
+        base *= 1.01  # same object identity, new content
+        np.testing.assert_array_equal(
+            self._warm(ws, base, slopes, target, mu),
+            solve_piecewise_linear(base, slopes, target),
+        )
+
+    def test_result_not_aliased(self, backend, rng):
+        m, n = 4, 5
+        base, slopes, target = self._problem(rng, m, n)
+        ws = SweepWorkspace(m, n, backend=backend)
+        mu = np.zeros(n)
+        lam1 = self._warm(ws, base, slopes, target, mu)
+        expected = lam1.copy()
+        for buf in vars(ws).values():
+            if isinstance(buf, np.ndarray):
+                assert not np.shares_memory(lam1, buf)
+        lam1[:] = -1.0  # mutating a returned result must not poison
+        np.testing.assert_array_equal(
+            self._warm(ws, base, slopes, target, mu), expected
+        )

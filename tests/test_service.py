@@ -520,6 +520,30 @@ class TestServiceWorkspaces:
         assert stats.sort_rows_reused > 0
         assert stats.sort_reuse_rate > 0.0
 
+    def test_sort_counters_surface_and_retired_read_zero(self, rng):
+        """The sort/backend counters ride the stats pipeline end to end
+        (dataclass, merge, JSON view, Prometheus text); the retired
+        skip/repair counters stay in every view and read 0."""
+        with SolveService() as svc:
+            svc.solve(random_fixed_problem(rng, 7, 7), batchable=False)
+            stats = svc.stats()
+        as_dict = stats.as_dict()
+        for key in ("sort_rows_skipped", "sort_perm_repairs",
+                    "sort_full_resorts", "backend_solves"):
+            assert key in as_dict
+        assert stats.sort_rows_skipped == stats.sort_perm_repairs == 0
+        assert stats.sort_full_resorts > 0
+        assert sum(stats.backend_solves.values()) > 0
+        merged = stats.merge(stats)
+        assert merged.sort_full_resorts == 2 * stats.sort_full_resorts
+        assert sum(merged.backend_solves.values()) == 2 * sum(
+            stats.backend_solves.values()
+        )
+        text = stats.metrics_text()
+        assert "repro_sort_perm_repairs_total 0" in text
+        assert "repro_sort_rows_skipped_total 0" in text
+        assert "repro_backend_solves_total" in text
+
     def test_unaware_kernel_gets_no_workspaces(self, rng):
         """A kernel without accepts_workspace never sees the kwarg and
         the service reports zero sort sweeps."""
