@@ -15,7 +15,12 @@ Replicas come in three transports behind one interface: in-process
 TCP with synchronous journal shipping
 (:class:`~repro.cluster.net.NetShard` ↔
 :class:`~repro.cluster.net.ShardServer`), the last of which makes even
-*host* loss survivable via :meth:`ClusterService.failover`.
+*host* loss survivable via :meth:`ClusterService.failover`.  All three
+speak one protocol: every command is dispatched by
+:func:`~repro.cluster.worker.run_op`, every replica announces itself
+with the hello :func:`~repro.cluster.worker.shard_hello` builds, and
+the TCP hop carries the write-ahead journal's records
+(:func:`~repro.service.journal.response_to_record`).
 """
 
 from repro.cluster.cluster import ClusterService, ClusterStats

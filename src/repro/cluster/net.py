@@ -3,27 +3,35 @@
 This is the multi-host generalization of the cluster tier.  A
 :class:`NetShard` is the router-side handle of a replica running on
 *another machine* as a ``python -m repro shard-serve --tcp host:port``
-process; it duck-types the :class:`~repro.cluster.worker.ProcessShard`
-interface exactly (``start``/``finish``/``call``/``submit``/``ping``/
-``stats``/``close``, ``alive``, ``hello``) so :class:`ClusterService`,
-admission, stats merge and ``serve --cluster`` work unchanged.
+process; it is a :class:`~repro.cluster.worker.ShardHandle` with the
+same surface as :class:`~repro.cluster.worker.ProcessShard`
+(``start``/``finish``/``call``/``submit``/``ping``/``stats``/``close``,
+``alive``, ``hello``) so :class:`ClusterService`, admission, stats
+merge and ``serve --cluster`` work unchanged.
 
-The protocol is the edge tier's wire discipline — strict JSON lines,
-non-finite floats through the lossless sidecar of
-:mod:`repro.service.wire` — with one crucial addition, **synchronous
-journal shipping**:
+The protocol is the shard command table of
+:mod:`repro.cluster.worker` (:func:`~repro.cluster.worker.run_op`) as
+JSON lines: ``{"op": ..., "args": [...]}`` goes out, one ``{"ok":
+value}`` or ``{"error": [kind, message]}`` frame comes back, and the
+router decodes ``value`` by the op it sent.  Payloads travel in the
+write-ahead journal's internal format — requests as
+:func:`~repro.service.wire.request_to_jsonable`, responses as
+:func:`~repro.service.journal.response_to_record` dicts, non-finite
+floats as the ``NaN``/``Infinity`` tokens the journal itself writes —
+so nothing the router re-delivers is rounded or dropped on the way.
+The hop adds one crucial thing, **synchronous journal shipping**:
 
 * the remote service's :class:`~repro.service.journal.Journal` is
   subscribed at server start, so every WAL record it appends is
   captured as raw line text;
 * before *any* command reply is sent, the server ships the captured
   lines (``{"journal": "<raw line>"}`` — the record rides inside a
-  JSON string, so bare ``NaN`` tokens in journal lines never touch the
-  strict outer frame), then ``{"flush": N}``, and **waits for the
-  router's ``{"ack": N}``** before replying;
-* the router appends each shipped line to a byte-for-byte
-  :class:`~repro.service.journal.ReplicaJournal` (same fsync cadence
-  knob) and acks.
+  JSON string, byte for byte), then ``{"flush": N}``, and **waits for
+  the router's ``{"ack": N}``** before replying;
+* the router appends each shipped line to its replica — a
+  :class:`~repro.service.journal.Journal` (same fsync cadence knob)
+  fed through :meth:`~repro.service.journal.Journal.append_line`,
+  which refuses anything but one whole record — and acks.
 
 The consequence is the failover guarantee: every journal record is on
 the router's disk *before* the response it durably promises can be
@@ -43,36 +51,62 @@ tail — catch-up — so a partition never desynchronizes the replica.
 
 from __future__ import annotations
 
-import os
 import pathlib
 import selectors
 import socket
 import time
 
 from repro.cluster.transport import Backoff, FrameSocket
-from repro.cluster.worker import ShardCrashedError
-from repro.errors import ReproError, error_class
-from repro.service.journal import ReplicaJournal
-from repro.service.metrics import ServiceStats
-from repro.service.wire import (
-    request_from_jsonable,
-    request_to_jsonable,
-    response_from_jsonable_full,
-    response_to_jsonable_full,
+from repro.cluster.worker import (
+    FINAL_OPS,
+    ShardCrashedError,
+    ShardHandle,
+    as_reply,
+    run_op,
+    shard_hello,
+    unwrap_reply,
 )
+from repro.service.journal import (
+    Journal,
+    response_from_record,
+    response_to_record,
+)
+from repro.service.metrics import ServiceStats
+from repro.service.wire import request_from_jsonable, request_to_jsonable
 
 __all__ = ["NetShard", "ShardServer"]
 
 _ACK_TIMEOUT_S = 30.0
 
 
-class NetShard:
+def _each(fn):
+    return lambda values: [fn(v) for v in values]
+
+
+def _optional(fn):
+    return lambda value: None if value is None else fn(value)
+
+
+_RESPONSES = (_each(response_to_record), _each(response_from_record))
+
+# Result codec per op: (server encode, router decode).  Ops not listed
+# return plain JSON values (submit's id, ping's count, close's None).
+_RESULT_CODEC = {
+    "drain": _RESPONSES,
+    "collect": _RESPONSES,
+    "shutdown": _RESPONSES,
+    "shed": (_optional(response_to_record), _optional(response_from_record)),
+    "stats": (ServiceStats.as_dict, ServiceStats.from_dict),
+}
+
+
+class NetShard(ShardHandle):
     """Router-side handle of one remote replica over TCP.
 
     Same synchronous single-outstanding-command surface as
     :class:`~repro.cluster.worker.ProcessShard`.  Transport trouble of
-    any kind — connect refusal, reset, timeout, a frame that fails
-    strict decoding, a shipped journal line the replica rejects —
+    any kind — connect refusal, reset, timeout, a frame that fails to
+    decode, a shipped journal line the replica rejects —
     surfaces as :class:`ShardCrashedError`, which is exactly the signal
     the router's recovery machinery already speaks.
 
@@ -121,7 +155,7 @@ class NetShard:
         self.snapshot_path = None
         self.replica = (
             None if replica_path is None
-            else ReplicaJournal(replica_path, fsync=fsync)
+            else Journal(replica_path, fsync=fsync)
         )
         self.connect_timeout = connect_timeout
         self.op_timeout = op_timeout
@@ -131,6 +165,7 @@ class NetShard:
             max_delay=backoff_max, jitter=backoff_jitter, seed=seed,
         )
         self._fs: FrameSocket | None = None
+        self._op: str | None = None  # the command awaiting its reply
         self._dead = False
         self.hello: dict = {}
         self.shipped_records = 0
@@ -143,8 +178,9 @@ class NetShard:
         """One connect attempt: TCP, hello handshake, replica catch-up.
 
         Raises :class:`ShardCrashedError` on any failure; on success
-        ``self.hello`` holds the normalized hello (recovered responses
-        decoded, replayed pairs as tuples)."""
+        ``self.hello`` holds the :func:`~repro.cluster.worker
+        .shard_hello` dict (recovered responses decoded, replayed pairs
+        as tuples)."""
         try:
             sock = socket.create_connection(
                 (self.host, self.port), timeout=self.connect_timeout
@@ -166,13 +202,13 @@ class NetShard:
                 if "journal" in frame:
                     self._append_replica(frame["journal"])
                 elif "hello" in frame:
-                    raw = frame["hello"]
+                    hello = frame["hello"]
                     break
                 else:
                     raise ConnectionError(
                         f"unexpected pre-hello frame {sorted(frame)}"
                     )
-            remote_lines = raw.get("journal_lines")
+            remote_lines = hello.get("journal_lines")
             if (
                 self.replica is not None
                 and remote_lines is not None
@@ -186,6 +222,10 @@ class NetShard:
                     f"replica holds {self.replica.lines} lines but remote "
                     f"journal has {remote_lines} after catch-up"
                 )
+            hello["recovered"] = [
+                response_from_record(rec) for rec in hello["recovered"]
+            ]
+            hello["replayed"] = [tuple(pair) for pair in hello["replayed"]]
         except (TimeoutError, ConnectionError, OSError) as exc:
             fs.close()
             raise ShardCrashedError(
@@ -194,19 +234,8 @@ class NetShard:
             ) from exc
         self._fs = fs
         self._dead = False
-        self.hello = {
-            "shard": raw.get("shard"),
-            "pid": raw.get("pid"),
-            "recovered": [
-                response_from_jsonable_full(obj)
-                for obj in raw.get("recovered", [])
-            ],
-            "replayed": [
-                (rid, order) for rid, order in raw.get("replayed", [])
-            ],
-            "journal_lines": remote_lines,
-        }
-        return self.hello
+        self.hello = hello
+        return hello
 
     def reconnect(self) -> dict:
         """Reconnect with the edge-client backoff discipline.
@@ -272,17 +301,12 @@ class NetShard:
             raise ShardCrashedError(f"{self.id} is not connected")
         if op == "submit":
             request = args[0]
-            frame = {
-                "op": "submit",
-                "request": request_to_jsonable(request),
-                "order": getattr(request, "_order", 0),
-            }
-        elif op == "shutdown":
-            frame = {"op": "shutdown", "deadline": args[0]}
-        else:
-            frame = {"op": op}
+            args = (
+                request_to_jsonable(request), getattr(request, "_order", 0)
+            )
+        self._op = op
         try:
-            self._fs.send(frame)
+            self._fs.send({"op": op, "args": list(args)})
         except (ConnectionError, OSError) as exc:
             self._drop()
             raise ShardCrashedError(
@@ -311,26 +335,11 @@ class NetShard:
                             f"at {n}"
                         )
                     self._fs.send({"ack": n})
-                elif "error" in frame:
-                    kind, message = frame["error"]
-                    raise error_class(kind)(message)
-                elif "ok" in frame:
-                    return frame["ok"]
-                elif "responses" in frame:
-                    return [
-                        response_from_jsonable_full(obj)
-                        for obj in frame["responses"]
-                    ]
-                elif "response" in frame:
-                    obj = frame["response"]
-                    return (
-                        None if obj is None
-                        else response_from_jsonable_full(obj)
-                    )
-                elif "stats" in frame:
-                    return ServiceStats.from_dict(frame["stats"])
-                elif "pong" in frame:
-                    return frame["pong"]
+                elif "ok" in frame or "error" in frame:
+                    tag = "ok" if "ok" in frame else "error"
+                    result = unwrap_reply(tag, frame[tag])
+                    codec = _RESULT_CODEC.get(self._op)
+                    return result if codec is None else codec[1](result)
                 else:
                     raise ConnectionError(
                         f"unexpected reply frame {sorted(frame)}"
@@ -341,23 +350,6 @@ class NetShard:
                 f"{self.id} at {self.host}:{self.port} failed "
                 f"mid-command ({exc})"
             ) from exc
-
-    def call(self, op: str, *args, timeout: float | None = None):
-        self.start(op, *args)
-        return self.finish(timeout=timeout)
-
-    # -- convenience ---------------------------------------------------------
-
-    def submit(self, request) -> str:
-        return self.call("submit", request)
-
-    def ping(self, timeout: float | None = 5.0) -> int:
-        """Liveness probe; a hung or partitioned remote times out and
-        surfaces as :class:`ShardCrashedError` (connection dropped)."""
-        return self.call("ping", timeout=timeout)
-
-    def stats(self) -> ServiceStats:
-        return self.call("stats")
 
     def close(self) -> None:
         """Best-effort remote close, then release local resources."""
@@ -374,12 +366,12 @@ class NetShard:
 class ShardServer:
     """The remote side: one :class:`SolveService` behind a TCP socket.
 
-    Speaks the command vocabulary of
-    :func:`repro.cluster.worker._shard_main` as JSON frames, plus the
-    shipping discipline described in the module docstring.  One router
-    connection at a time, **latest wins**: a new accept supersedes the
-    old socket (a router reconnecting around a black-holed connection
-    must not wait for the corpse to time out).
+    Dispatches every command through
+    :func:`repro.cluster.worker.run_op` and answers it as JSON frames,
+    with the shipping discipline described in the module docstring.
+    One router connection at a time, **latest wins**: a new accept
+    supersedes the old socket (a router reconnecting around a
+    black-holed connection must not wait for the corpse to time out).
 
     Run via ``python -m repro shard-serve --tcp host:port``; tests run
     :meth:`serve_forever` on a thread and :meth:`stop` it.
@@ -483,20 +475,11 @@ class ShardServer:
                 self._journal_buf.clear()
                 for line in journal.read_tail(have):
                     conn.send({"journal": line})
-            svc = self.service
-            conn.send({"hello": {
-                "shard": self.shard_id,
-                "pid": os.getpid(),
-                "recovered": [
-                    response_to_jsonable_full(r)
-                    for r in svc.recovered.values()
-                ],
-                "replayed": [
-                    [req.id, getattr(req, "_order", 0)]
-                    for req in svc._queue
-                ],
-                "journal_lines": None if journal is None else journal.lines,
-            }})
+            hello = shard_hello(self.shard_id, self.service)
+            hello["recovered"] = [
+                response_to_record(r) for r in hello["recovered"]
+            ]
+            conn.send({"hello": hello})
         finally:
             conn.sock.setblocking(False)
 
@@ -506,51 +489,7 @@ class ShardServer:
         if "ack" in frame:
             return  # stray ack of an abandoned flush; harmless
         op = frame.get("op")
-        svc = self.service
-        stop_after = False
-        try:
-            if op == "submit":
-                request = request_from_jsonable(frame["request"])
-                request._order = frame.get("order", 0)
-                reply = {"ok": svc.submit(request)}
-            elif op == "drain":
-                reply = {"responses": [
-                    response_to_jsonable_full(r)
-                    for r in svc.collect() + svc.drain()
-                ]}
-            elif op == "collect":
-                reply = {"responses": [
-                    response_to_jsonable_full(r) for r in svc.collect()
-                ]}
-            elif op == "shed":
-                victim = svc.shed_oldest()
-                reply = {"response": (
-                    None if victim is None
-                    else response_to_jsonable_full(victim)
-                )}
-            elif op == "stats":
-                reply = {"stats": svc.stats().as_dict()}
-            elif op == "ping":
-                reply = {"pong": svc.pending}
-            elif op == "shutdown":
-                responses = svc.shutdown(deadline_s=frame.get("deadline"))
-                reply = {"responses": [
-                    response_to_jsonable_full(r)
-                    for r in svc.collect() + responses
-                ]}
-                stop_after = True
-            elif op == "close":
-                svc.close()
-                reply = {"ok": None}
-                stop_after = True
-            else:
-                reply = {"error": [
-                    "invalid-request", f"unknown shard op {op!r}"
-                ]}
-        except ReproError as exc:
-            reply = {"error": [exc.kind, str(exc)]}
-        except Exception as exc:  # noqa: BLE001 — isolate, never kill the loop
-            reply = {"error": ["internal", f"{type(exc).__name__}: {exc}"]}
+        tag, payload = as_reply(self._run, op, frame.get("args"))
         # Ship-before-reply: every record this op journaled must be
         # acked into the replica before the reply exists on the wire.
         # A failed ship raises ConnectionError -> the caller drops the
@@ -560,11 +499,22 @@ class ShardServer:
         conn.sock.setblocking(True)
         try:
             self._ship(conn)
-            conn.send(reply)
+            conn.send({tag: payload})
         finally:
             conn.sock.setblocking(False)
-        if stop_after:
+        if tag == "ok" and op in FINAL_OPS:
             self._stop = True
+
+    def _run(self, op, args):
+        """One wire command: decode its arguments, run it through the
+        shared command table, encode its result."""
+        if op == "submit":
+            request = request_from_jsonable(args[0])
+            request._order = args[1]
+            args = [request]
+        result = run_op(self.service, op, args)
+        codec = _RESULT_CODEC.get(op)
+        return result if codec is None else codec[0](result)
 
     def _ship(self, conn: FrameSocket) -> None:
         if not self._shipping or not self._journal_buf:

@@ -1,13 +1,16 @@
 """Framing and connection plumbing for the network shard transport.
 
-The router↔shard hop reuses the edge tier's wire discipline — one
-strict JSON object per ``\\n``-terminated line, ``allow_nan=False`` so
-a non-finite float can never silently corrupt a frame — over a plain
-blocking TCP socket on the router side (the router is single-threaded
-per shard; a blocking request/response socket with deadlines is the
-simplest correct thing) and a ``selectors``-driven loop on the server
-side (:class:`repro.cluster.net.ShardServer` must notice a *new*
-connection while an old black-holed one is still open).
+The router↔shard hop is internal, so it speaks the write-ahead
+journal's format rather than the public edge's strict JSON: one JSON
+object per ``\\n``-terminated line, encoded with the same ``json.dumps``
+settings the journal writes (finite floats exact through ``repr``,
+non-finite ones as the ``NaN``/``Infinity`` tokens the stdlib parses
+back).  The router side
+is a plain blocking TCP socket (the router is single-threaded per
+shard; a blocking request/response socket with deadlines is the
+simplest correct thing) and the server side a ``selectors``-driven loop
+(:class:`repro.cluster.net.ShardServer` must notice a *new* connection
+while an old black-holed one is still open).
 
 :class:`Backoff` mirrors the ``ResilientEdgeClient`` reconnect
 discipline — capped exponential growth with decorrelated jitter — so
@@ -33,10 +36,8 @@ _RECV_CHUNK = 1 << 16
 
 
 def encode_frame(obj: dict) -> bytes:
-    """One protocol object as a strict JSON line (bytes, newline kept)."""
-    return (
-        json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
-    ).encode()
+    """One protocol object as a JSON line (bytes, newline kept)."""
+    return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
 
 
 def parse_host_port(spec: str) -> tuple[str, int]:
@@ -96,7 +97,7 @@ class Backoff:
 
 
 class FrameSocket:
-    """Line-framed strict-JSON messaging over one TCP socket.
+    """Line-framed JSON messaging over one TCP socket.
 
     Blocking, deadline-aware reads for the router side (``recv``), and
     non-blocking buffer feeding for the server's selector loop
@@ -184,7 +185,9 @@ class FrameSocket:
     def _decode(self, line: bytes) -> dict:
         try:
             obj = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad JSON and bad UTF-8; RecursionError
+            # a frame nested deeper than the parser's stack.
             raise ConnectionError(f"undecodable frame: {exc}") from exc
         if not isinstance(obj, dict):
             raise ConnectionError("frame is not a JSON object")

@@ -1,35 +1,40 @@
-"""Shard workers: one `SolveService` per replica, driven over a pipe.
+"""The shard protocol: one command table, one hello, three transports.
 
-A :class:`ProcessShard` forks a child that owns a complete, independent
+A shard replica owns a complete, independent
 :class:`~repro.service.service.SolveService` — its own
 :class:`~repro.parallel.executor.ParallelKernel`, warm-start cache,
-workspace LRU, write-ahead journal and admission queue — and speaks a
-tiny synchronous command protocol over a ``multiprocessing`` pipe::
+workspace LRU, write-ahead journal and admission queue — and answers a
+tiny synchronous command protocol, dispatched in exactly one place,
+:func:`run_op`::
 
-    ("submit", request)      -> ("ok", request_id) | ("error", (kind, msg))
-    ("drain",)               -> ("responses", [SolveResponse, ...])
-    ("collect",)             -> ("responses", [...])
-    ("shed",)                -> ("response", SolveResponse | None)
-    ("stats",)               -> ("stats", ServiceStats)
-    ("ping",)                -> ("pong", pending_count)
-    ("shutdown", deadline)   -> ("responses", [...]), then the child exits
-    ("close",)               -> ("ok", None), then the child exits
+    submit(request)      -> request id
+    drain()              -> [SolveResponse, ...]
+    collect()            -> [SolveResponse, ...]
+    shed()               -> SolveResponse | None
+    stats()              -> ServiceStats
+    ping()               -> pending count
+    shutdown(deadline)   -> [SolveResponse, ...], then the replica stops
+    close()              -> None, then the replica stops
 
-On start the child pushes one unsolicited ``("hello", {...})`` frame
-carrying its pid plus — when it recovered a journal — the recorded
-responses of answered ids and the ``(id, order)`` pairs it re-enqueued,
-which is everything the router needs to reconcile its in-flight map
-after a replica death.
+A serving loop wraps each result with :func:`as_reply` into one reply,
+``("ok", value)`` or ``("error", [kind, message])``, and the router
+side unwraps it with :func:`unwrap_reply`, re-raising the error as its
+:mod:`repro.errors` taxonomy class.  On start every replica announces
+itself with the dict :func:`shard_hello` builds: its pid plus — when it
+recovered a journal — the recorded responses of answered ids and the
+``(id, order)`` pairs it re-enqueued, which is everything the router
+needs to reconcile its in-flight map after a replica death.
 
-:class:`InlineShard` is the same interface executed in-process: the
-bottom rung of the cluster's degradation ladder (a replica whose
-respawns keep dying falls back to it, mirroring the kernel's
-``process -> thread -> serial`` ladder), and the zero-IPC backend for
-tests.
+Three transports share the protocol through :class:`ShardHandle`:
 
-Objects cross the pipe pickled (multiprocessing's native transport);
-pickling preserves float64 bit patterns, so the journal's bit-identity
-contract survives the hop.
+* :class:`ProcessShard` forks a child that serves the commands over a
+  ``multiprocessing`` pipe.  Objects cross it pickled, and pickling
+  preserves float64 bit patterns, so the journal's bit-identity
+  contract survives the hop.
+* :class:`InlineShard` executes them in-process (the bottom rung of
+  the cluster's degradation ladder, and the zero-IPC test backend).
+* :class:`~repro.cluster.net.NetShard` reaches a ``shard-serve`` host
+  over TCP (:mod:`repro.cluster.net`).
 """
 
 from __future__ import annotations
@@ -40,14 +45,32 @@ import pathlib
 import signal
 import time
 
-from repro.errors import ReproError, WorkerCrashError, error_class
+from repro.errors import (
+    InvalidRequestError,
+    ReproError,
+    WorkerCrashError,
+    error_class,
+)
 from repro.service.journal import Journal
 from repro.service.service import SolveService
 
-__all__ = ["ProcessShard", "InlineShard", "ShardCrashedError", "shard_journal"]
+__all__ = [
+    "ProcessShard",
+    "InlineShard",
+    "ShardCrashedError",
+    "ShardHandle",
+    "as_reply",
+    "run_op",
+    "shard_hello",
+    "shard_journal",
+    "unwrap_reply",
+]
 
 _HELLO_TIMEOUT_S = 60.0
 _POLL_S = 0.05
+
+# Commands after whose successful reply the replica stops serving.
+FINAL_OPS = ("shutdown", "close")
 
 
 class ShardCrashedError(WorkerCrashError):
@@ -61,6 +84,84 @@ def shard_journal(journal_dir, shard_id: str) -> pathlib.Path:
     return pathlib.Path(journal_dir) / f"{shard_id}.journal"
 
 
+def _open_service(service_kwargs: dict, journal_path=None,
+                  snapshot_path=None, recover: bool = False) -> SolveService:
+    """A replica's service: recovered from its journal when asked and
+    the journal exists, fresh otherwise."""
+    if (
+        recover
+        and journal_path is not None
+        and pathlib.Path(journal_path).exists()
+    ):
+        return SolveService.recover(
+            journal_path, snapshot_path=snapshot_path, **service_kwargs
+        )
+    return SolveService(
+        journal=journal_path, snapshot_path=snapshot_path, **service_kwargs
+    )
+
+
+def shard_hello(shard_id: str, svc: SolveService) -> dict:
+    """The hello a started replica sends its router.
+
+    ``journal_lines`` is the replica's journal length; a network router
+    checks its shipped replica against it after catch-up."""
+    journal = svc.journal
+    return {
+        "shard": shard_id,
+        "pid": os.getpid(),
+        "recovered": list(svc.recovered.values()),
+        "replayed": [
+            (req.id, getattr(req, "_order", 0)) for req in svc._queue
+        ],
+        "journal_lines": None if journal is None else journal.lines,
+    }
+
+
+def run_op(svc: SolveService, op: str, args) -> object:
+    """Execute one shard command against the replica's service."""
+    if op == "submit":
+        return svc.submit(args[0])
+    if op == "drain":
+        return svc.collect() + svc.drain()
+    if op == "collect":
+        return svc.collect()
+    if op == "shed":
+        return svc.shed_oldest()
+    if op == "stats":
+        return svc.stats()
+    if op == "ping":
+        return svc.pending
+    if op == "shutdown":
+        responses = svc.shutdown(deadline_s=args[0])
+        return svc.collect() + responses
+    if op == "close":
+        svc.close()
+        return None
+    raise InvalidRequestError(f"unknown shard op {op!r}")
+
+
+def as_reply(fn, *args) -> tuple[str, object]:
+    """``fn(*args)`` as a reply: ``("ok", result)``, or ``("error",
+    [kind, message])`` for any exception — a failing command never
+    kills the serving loop."""
+    try:
+        return "ok", fn(*args)
+    except ReproError as exc:
+        return "error", [exc.kind, str(exc)]
+    except Exception as exc:  # noqa: BLE001 — isolate, never kill the loop
+        return "error", ["internal", f"{type(exc).__name__}: {exc}"]
+
+
+def unwrap_reply(tag: str, payload):
+    """Router side of :func:`as_reply`: the result, or the error
+    re-raised as its taxonomy class."""
+    if tag == "error":
+        kind, message = payload
+        raise error_class(kind)(message)
+    return payload
+
+
 def _shard_main(conn, shard_id, recover, journal_path, snapshot_path,
                 service_kwargs) -> None:
     """Child-process entry: build the shard's service, serve commands."""
@@ -72,83 +173,53 @@ def _shard_main(conn, shard_id, recover, journal_path, snapshot_path,
     except ValueError:  # pragma: no cover — non-main thread (tests)
         pass
     try:
-        if (
-            recover
-            and journal_path is not None
-            and pathlib.Path(journal_path).exists()
-        ):
-            svc = SolveService.recover(
-                journal_path, snapshot_path=snapshot_path, **service_kwargs
-            )
-        else:
-            svc = SolveService(
-                journal=journal_path, snapshot_path=snapshot_path,
-                **service_kwargs,
-            )
+        svc = _open_service(service_kwargs, journal_path, snapshot_path,
+                            recover)
     except Exception as exc:  # pragma: no cover — config errors surface up
         conn.send(("fatal", f"{type(exc).__name__}: {exc}"))
         conn.close()
         return
-    conn.send(("hello", {
-        "shard": shard_id,
-        "pid": os.getpid(),
-        "recovered": list(svc.recovered.values()),
-        "replayed": [
-            (req.id, getattr(req, "_order", 0)) for req in svc._queue
-        ],
-    }))
+    conn.send(("hello", shard_hello(shard_id, svc)))
     while True:
         try:
-            msg = conn.recv()
+            op, *args = conn.recv()
         except (EOFError, OSError):  # router died: flush and stop
             svc.close()
             return
-        op, args = msg[0], msg[1:]
-        try:
-            if op == "submit":
-                conn.send(("ok", svc.submit(args[0])))
-            elif op == "drain":
-                conn.send(("responses", svc.collect() + svc.drain()))
-            elif op == "collect":
-                conn.send(("responses", svc.collect()))
-            elif op == "shed":
-                conn.send(("response", svc.shed_oldest()))
-            elif op == "stats":
-                conn.send(("stats", svc.stats()))
-            elif op == "ping":
-                conn.send(("pong", svc.pending))
-            elif op == "shutdown":
-                responses = svc.shutdown(deadline_s=args[0])
-                conn.send(("responses", svc.collect() + responses))
-                conn.close()
-                return
-            elif op == "close":
-                svc.close()
-                conn.send(("ok", None))
-                conn.close()
-                return
-            else:
-                conn.send(("error", ("invalid-request",
-                                     f"unknown shard op {op!r}")))
-        except ReproError as exc:
-            conn.send(("error", (exc.kind, str(exc))))
-        except Exception as exc:  # noqa: BLE001 — isolate, never kill the loop
-            conn.send(("error", ("internal",
-                                 f"{type(exc).__name__}: {exc}")))
+        tag, payload = as_reply(run_op, svc, op, args)
+        conn.send((tag, payload))
+        if tag == "ok" and op in FINAL_OPS:
+            conn.close()
+            return
 
 
-def _raise_shard_error(kind: str, message: str) -> None:
-    raise error_class(kind)(message)
+class ShardHandle:
+    """The router-side command surface every shard transport shares.
 
-
-class ProcessShard:
-    """Router-side handle of one worker replica (child process).
-
-    The handle is synchronous and single-outstanding-command, but
-    :meth:`start` / :meth:`finish` split a command's send and receive so
-    the router can broadcast ``drain`` to every shard and *then* gather
-    — the replicas compute concurrently.
+    Synchronous and single-outstanding-command: :meth:`start` sends one
+    command and :meth:`finish` returns its result (or raises its
+    error).  The split lets the router broadcast ``drain`` to every
+    shard and *then* gather — the replicas compute concurrently.
     """
+
+    def call(self, op: str, *args, timeout: float | None = None):
+        self.start(op, *args)
+        return self.finish(timeout=timeout)
+
+    def submit(self, request) -> str:
+        return self.call("submit", request)
+
+    def ping(self, timeout: float | None = 5.0) -> int:
+        """Liveness probe: the replica's pending count.  A hung or
+        unreachable replica surfaces as :class:`ShardCrashedError`."""
+        return self.call("ping", timeout=timeout)
+
+    def stats(self):
+        return self.call("stats")
+
+
+class ProcessShard(ShardHandle):
+    """Router-side handle of one worker replica (child process)."""
 
     backend = "process"
 
@@ -206,15 +277,7 @@ class ProcessShard:
 
     def finish(self, timeout: float | None = None):
         """Receive (and unwrap) the pending command's reply."""
-        frame = self._recv(timeout=timeout)
-        tag, payload = frame
-        if tag == "error":
-            _raise_shard_error(*payload)
-        return payload
-
-    def call(self, op: str, *args, timeout: float | None = None):
-        self.start(op, *args)
-        return self.finish(timeout=timeout)
+        return unwrap_reply(*self._recv(timeout=timeout))
 
     def _recv(self, timeout: float | None = None):
         """Receive one frame, detecting replica death instead of
@@ -242,9 +305,6 @@ class ProcessShard:
 
     # -- convenience ---------------------------------------------------------
 
-    def submit(self, request) -> str:
-        return self.call("submit", request)
-
     def ping(self, timeout: float | None = 5.0) -> int:
         """Liveness probe.  A child that is *alive but unresponsive*
         (wedged in a fault-plan delay, a runaway solve, a deadlocked
@@ -260,9 +320,6 @@ class ProcessShard:
                 self.kill()
             raise
 
-    def stats(self):
-        return self.call("stats")
-
     def close(self) -> None:
         """Graceful child exit; escalate to SIGKILL if it won't die."""
         if self._proc.is_alive():
@@ -277,14 +334,15 @@ class ProcessShard:
         self._conn.close()
 
 
-class InlineShard:
+class InlineShard(ShardHandle):
     """The shard protocol executed in-process (no child, no IPC).
 
     Serves two roles: the deterministic test/sandbox backend
     (``ClusterService(shard_backend="inline")``) and the terminal rung
     of the replica degradation ladder — when a shard's respawns keep
     dying, the router rebuilds it inline from its journal so the
-    keyspace slice stays served.
+    keyspace slice stays served (mirroring the kernel's ``process ->
+    thread -> serial`` ladder).  Command errors raise directly.
     """
 
     backend = "inline"
@@ -297,28 +355,9 @@ class InlineShard:
             None if journal_path is None else pathlib.Path(journal_path)
         )
         self.snapshot_path = snapshot_path
-        if (
-            recover
-            and journal_path is not None
-            and pathlib.Path(journal_path).exists()
-        ):
-            self.service = SolveService.recover(
-                journal_path, snapshot_path=snapshot_path, **service_kwargs
-            )
-        else:
-            self.service = SolveService(
-                journal=journal_path, snapshot_path=snapshot_path,
-                **service_kwargs,
-            )
-        self.hello = {
-            "shard": shard_id,
-            "pid": os.getpid(),
-            "recovered": list(self.service.recovered.values()),
-            "replayed": [
-                (req.id, getattr(req, "_order", 0))
-                for req in self.service._queue
-            ],
-        }
+        self.service = _open_service(service_kwargs, journal_path,
+                                    snapshot_path, recover)
+        self.hello = shard_hello(shard_id, self.service)
         self._pending_op: tuple | None = None
 
     @property
@@ -330,44 +369,12 @@ class InlineShard:
         return os.getpid()
 
     def start(self, op: str, *args) -> None:
-        self._pending_op = (op, *args)
+        self._pending_op = (op, args)
 
     def finish(self, timeout: float | None = None):  # noqa: ARG002
-        op, args = self._pending_op[0], self._pending_op[1:]
+        op, args = self._pending_op
         self._pending_op = None
-        svc = self.service
-        if op == "submit":
-            return svc.submit(args[0])
-        if op == "drain":
-            return svc.collect() + svc.drain()
-        if op == "collect":
-            return svc.collect()
-        if op == "shed":
-            return svc.shed_oldest()
-        if op == "stats":
-            return svc.stats()
-        if op == "ping":
-            return svc.pending
-        if op == "shutdown":
-            responses = svc.shutdown(deadline_s=args[0])
-            return svc.collect() + responses
-        if op == "close":
-            svc.close()
-            return None
-        raise ValueError(f"unknown shard op {op!r}")
-
-    def call(self, op: str, *args, timeout: float | None = None):
-        self.start(op, *args)
-        return self.finish(timeout=timeout)
-
-    def submit(self, request) -> str:
-        return self.service.submit(request)
-
-    def ping(self, timeout: float | None = None) -> int:  # noqa: ARG002
-        return self.service.pending
-
-    def stats(self):
-        return self.service.stats()
+        return run_op(self.service, op, args)
 
     def close(self) -> None:
         self.service.close()

@@ -504,7 +504,7 @@ class EdgeServer:
             return None
         try:
             obj = json.loads(line)
-        except ValueError:
+        except (ValueError, RecursionError):
             return None
         if not isinstance(obj, dict) or "session" not in obj \
                 or "problem" in obj:

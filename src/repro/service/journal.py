@@ -15,6 +15,13 @@ bit-exact float fidelity (Python's ``json`` round-trips ``float64``
 through ``repr``, and non-finite values are written as the JSON
 extensions ``NaN``/``Infinity`` the stdlib parses back).
 
+This record format is the one internal format of the stack: the
+router's replica of a remote shard's journal is a :class:`Journal` fed
+the shipped lines verbatim (:meth:`Journal.append_line`), and the
+network shard wire carries responses as :func:`response_to_record`
+dicts.  Strict JSON, with its lossy non-finite sidecar, lives only at
+the public edge (:mod:`repro.service.wire`).
+
 Recovery (:func:`replay`, used by ``SolveService.recover``) returns the
 unanswered requests in their original submission order plus the
 recorded responses by id, enabling exactly-once semantics across
@@ -40,13 +47,12 @@ import pathlib
 import numpy as np
 
 from repro.core.result import SolveResult
-from repro.errors import DuplicateRequestError
+from repro.errors import DuplicateRequestError, InvalidRequestError
 from repro.service.request import SolveRequest, SolveResponse
 from repro.service.wire import request_from_jsonable, request_to_jsonable
 
 __all__ = [
     "Journal",
-    "ReplicaJournal",
     "replay",
     "replay_full",
     "derive_request_id",
@@ -114,9 +120,11 @@ def _result_from_record(rec: dict) -> SolveResult:
 def response_to_record(response: SolveResponse) -> dict:
     """Full-fidelity response encoding (duals included, floats exact).
 
-    Unlike the wire codec (:func:`repro.service.wire
-    .response_to_jsonable`) nothing is rounded or nulled: the journal
-    must reproduce the response *bit-identically* on replay.
+    Unlike the public edge codec (:func:`repro.service.wire
+    .response_to_jsonable`) nothing is rounded, nulled or dropped: the
+    journal must reproduce the response *bit-identically* on replay,
+    and the router re-delivers the responses a network shard sends in
+    this form verbatim.
     """
     rec: dict = {
         "id": response.id,
@@ -155,13 +163,39 @@ def response_from_record(rec: dict) -> SolveResponse:
     )
 
 
+def _parse_record(line) -> dict | None:
+    """The journal record ``line`` holds, or ``None`` when it holds none.
+
+    The one predicate behind the scan on open, replay, and shipped
+    replica lines: a record is a JSON object with a ``type`` and a
+    string ``id``, and a ``request`` or ``response`` record also
+    carries that payload as an object.  Any decode failure — invalid
+    JSON, invalid UTF-8, nesting too deep for the parser — means "not a
+    record", never an exception.
+    """
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError):
+        return None
+    if (
+        not isinstance(obj, dict)
+        or "type" not in obj
+        or not isinstance(obj.get("id"), str)
+    ):
+        return None
+    kind = obj["type"]
+    if kind in ("request", "response") and not isinstance(obj.get(kind), dict):
+        return None
+    return obj
+
+
 def _scan(path: pathlib.Path):
     """Yield ``(record, end_offset)`` for every intact record.
 
-    Stops (without raising) at the first torn or undecodable line — by
+    Stops (without raising) at the first torn line or non-record — by
     construction only the *last* line can be torn, so everything before
-    a decode failure is trusted and everything from it on is garbage a
-    crash left behind.
+    it is trusted and everything from it on is garbage a crash left
+    behind.
     """
     offset = 0
     with path.open("rb") as fh:
@@ -169,11 +203,8 @@ def _scan(path: pathlib.Path):
             end = offset + len(raw)
             if not raw.endswith(b"\n"):
                 return  # torn tail: the crash interrupted this write
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError:
-                return
-            if not isinstance(obj, dict) or "type" not in obj:
+            obj = _parse_record(raw)
+            if obj is None:
                 return
             yield obj, end
             offset = end
@@ -184,8 +215,9 @@ class Journal:
 
     Opening an existing path replays its index (which ids are pending
     vs answered, how many request records exist) and truncates any torn
-    tail, so the same ``Journal`` object serves both a fresh service
-    and a restarted one.
+    tail, so the same ``Journal`` object serves a fresh service, a
+    restarted one, and the router-side replica of a remote shard's
+    journal (fed through :meth:`append_line`).
 
     Parameters
     ----------
@@ -214,18 +246,20 @@ class Journal:
             for obj, end in _scan(self.path):
                 good_end = end
                 self.lines += 1
-                rid = obj.get("id")
-                if obj["type"] == "request":
-                    self._seen[rid] = False
-                    self.request_records += 1
-                elif obj["type"] == "response":
-                    self._seen[rid] = True
+                self._index(obj)
             if good_end < self.path.stat().st_size:
                 with self.path.open("rb+") as fh:
                     fh.truncate(good_end)
         self._fh = self.path.open("a", encoding="utf-8")
 
     # -- index ---------------------------------------------------------------
+
+    def _index(self, obj: dict) -> None:
+        if obj["type"] == "request":
+            self._seen.setdefault(obj["id"], False)
+            self.request_records += 1
+        elif obj["type"] == "response":
+            self._seen[obj["id"]] = True
 
     def __contains__(self, request_id: str) -> bool:
         return request_id in self._seen
@@ -245,30 +279,52 @@ class Journal:
         Raises :class:`~repro.errors.DuplicateRequestError` when the id
         was already accepted — the caller never gets to double-journal.
         """
-        if request.id is None:
-            raise ValueError("journaled requests need an id")
+        if not isinstance(request.id, str):
+            # The scan on reopen treats a record without a string id
+            # as garbage, so one must never be written.
+            raise InvalidRequestError("journaled requests need a string id")
         if request.id in self._seen:
             raise DuplicateRequestError(
                 f"request id {request.id!r} already journaled "
                 f"({'answered' if self._seen[request.id] else 'pending'})"
             )
-        self._write({
+        obj = {
             "type": "request",
             "id": request.id,
             "seq": getattr(request, "_order", self.request_records),
             "request": request_to_jsonable(request),
-        })
-        self._seen[request.id] = False
-        self.request_records += 1
+        }
+        self._write(json.dumps(obj, separators=(",", ":")), obj)
 
     def append_response(self, response: SolveResponse) -> None:
         """Journal a response; must precede its delivery."""
-        self._write({
+        obj = {
             "type": "response",
             "id": response.id,
             "response": response_to_record(response),
-        })
-        self._seen[response.id] = True
+        }
+        self._write(json.dumps(obj, separators=(",", ":")), obj)
+
+    def append_line(self, line: str) -> None:
+        """Append one shipped record line verbatim (validated first).
+
+        The replica side of journal shipping: the network shard server
+        ships every record its journal appends as the raw line text,
+        and the router's replica appends it here byte-for-byte.
+        Raises ``ValueError`` when the line is not one whole record —
+        not a record by :func:`_parse_record`, or carrying a ``\\n``
+        or ``\\r`` that would split it on disk — so a corrupted ship
+        is rejected *before* it poisons the replica and the transport
+        can drop the connection and re-fetch the line on reconnect.
+        """
+        obj = (
+            None if "\n" in line or "\r" in line else _parse_record(line)
+        )
+        if obj is None:
+            raise ValueError(
+                f"shipped journal line is not a whole record: {line[:80]!r}"
+            )
+        self._write(line, obj)
 
     # -- streaming -----------------------------------------------------------
 
@@ -296,16 +352,18 @@ class Journal:
         if start >= self.lines:
             return []
         self._fh.flush()
-        with self.path.open("r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        # Split on "\n" alone, as the scan does: a record is one line
+        # of the file, whatever other line breaks its text may hold.
+        with self.path.open("r", encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
         return lines[start:self.lines]
 
-    def _write(self, obj: dict) -> None:
-        text = json.dumps(obj, separators=(",", ":"))
+    def _write(self, text: str, obj: dict) -> None:
         self._fh.write(text + "\n")
         self._fh.flush()
         self.appended += 1
         self.lines += 1
+        self._index(obj)
         self._unsynced += 1
         if self.fsync and self._unsynced >= self.fsync:
             self.sync()
@@ -332,101 +390,6 @@ class Journal:
         self.close()
 
 
-class ReplicaJournal:
-    """Router-side byte-for-byte replica of a remote shard's journal.
-
-    The network shard server ships every WAL record it appends as the
-    raw line text; :meth:`append_line` validates and appends it here
-    *before* the remote's response is delivered, so when the remote
-    host dies the replica holds everything the shard ever durably did
-    — replaying it (via :func:`replay` / :func:`replay_full`, the file
-    format is identical) recovers with zero lost and zero
-    double-answered requests.
-
-    ``lines`` counts intact records and doubles as the ``have`` cursor
-    the router sends on reconnect so the server ships only the tail it
-    missed.  The same torn-tail truncation as :class:`Journal` applies
-    on open; ``fsync`` follows the same 0/1/N cadence.
-    """
-
-    def __init__(self, path, fsync: int = 0) -> None:
-        if fsync < 0:
-            raise ValueError("fsync must be >= 0")
-        self.path = pathlib.Path(path)
-        self.fsync = int(fsync)
-        self._seen: dict[str, bool] = {}
-        self.lines = 0
-        self.request_records = 0
-        self._unsynced = 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        good_end = 0
-        if self.path.exists():
-            for obj, end in _scan(self.path):
-                good_end = end
-                self.lines += 1
-                rid = obj.get("id")
-                if obj["type"] == "request":
-                    self._seen[rid] = False
-                    self.request_records += 1
-                elif obj["type"] == "response":
-                    self._seen[rid] = True
-            if good_end < self.path.stat().st_size:
-                with self.path.open("rb+") as fh:
-                    fh.truncate(good_end)
-        self._fh = self.path.open("a", encoding="utf-8")
-
-    def __contains__(self, request_id: str) -> bool:
-        return request_id in self._seen
-
-    def answered(self, request_id: str) -> bool:
-        return self._seen.get(request_id) is True
-
-    def append_line(self, line: str) -> None:
-        """Append one shipped record line (validated before write).
-
-        Raises ``ValueError`` when the line is not an intact journal
-        record — a corrupted ship must be rejected *before* it poisons
-        the replica, so the transport can drop the connection and
-        re-fetch the line on reconnect.
-        """
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"shipped journal line is not JSON: {exc}")
-        if not isinstance(obj, dict) or "type" not in obj:
-            raise ValueError("shipped journal line is not a journal record")
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        self.lines += 1
-        self._unsynced += 1
-        rid = obj.get("id")
-        if obj["type"] == "request":
-            self._seen.setdefault(rid, False)
-            self.request_records += 1
-        elif obj["type"] == "response":
-            self._seen[rid] = True
-        if self.fsync and self._unsynced >= self.fsync:
-            self.sync()
-
-    def sync(self) -> None:
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._unsynced = 0
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
-            self._fh.close()
-
-    def __enter__(self) -> "ReplicaJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def replay(path) -> tuple[list[SolveRequest], dict[str, SolveResponse]]:
     """Read a journal into recovery inputs.
 
@@ -437,22 +400,9 @@ def replay(path) -> tuple[list[SolveRequest], dict[str, SolveResponse]]:
     *after* a duplicate-looking crash replay appears only once — the
     index keeps the latest state per id.
     """
-    path = pathlib.Path(path)
-    requests: dict[str, SolveRequest] = {}
-    responses: dict[str, SolveResponse] = {}
-    if not path.exists():
-        return [], {}
-    for obj, _ in _scan(path):
-        rid = obj.get("id")
-        if obj["type"] == "request":
-            request = request_from_jsonable(obj["request"])
-            request.id = rid
-            request._order = obj.get("seq", len(requests))
-            requests[rid] = request
-        elif obj["type"] == "response":
-            responses[rid] = response_from_record(obj["response"])
+    requests, responses = replay_full(path)
     unanswered = [
-        requests[rid] for rid in requests if rid not in responses
+        request for rid, request in requests.items() if rid not in responses
     ]
     unanswered.sort(key=lambda r: r._order)
     return unanswered, responses
@@ -478,7 +428,7 @@ def replay_full(
     if not path.exists():
         return {}, {}
     for obj, _ in _scan(path):
-        rid = obj.get("id")
+        rid = obj["id"]
         if obj["type"] == "request":
             request = request_from_jsonable(obj["request"])
             request.id = rid

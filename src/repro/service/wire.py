@@ -1,4 +1,4 @@
-"""JSONL framing of service requests and responses.
+"""JSONL framing of service requests and responses at the public edge.
 
 One JSON object per line.  A request line carries the problem payload
 of :func:`repro.io.problem_to_jsonable` plus per-request options::
@@ -33,6 +33,12 @@ A line that cannot even be decoded into a request yields a
 :class:`RequestError` from :func:`read_requests` instead of killing the
 stream; :func:`error_line` turns it into an
 ``error.kind: "invalid-request"`` response carrying the line number.
+
+This response codec is for clients only: it rounds ``elapsed`` and
+drops the duals.  Internal hops — the write-ahead journal, replica
+shipping and the router↔shard wire — carry the full-fidelity records
+of :mod:`repro.service.journal` instead, and need no sidecar.  The
+request codec (:func:`request_to_jsonable`) is shared by every hop.
 """
 
 from __future__ import annotations
@@ -55,8 +61,6 @@ __all__ = [
     "request_to_jsonable",
     "response_to_jsonable",
     "response_from_jsonable",
-    "response_to_jsonable_full",
-    "response_from_jsonable_full",
     "read_requests",
     "dump_response",
     "error_line",
@@ -117,11 +121,6 @@ def _decode_array(data, spots=None) -> np.ndarray | None:
     for *idx, tag in spots or ():
         a[tuple(idx)] = _NONFINITE[tag]
     return a
-
-
-def _finite(value: float) -> float | None:
-    value = float(value)
-    return value if np.isfinite(value) else None
 
 
 @dataclass
@@ -304,77 +303,24 @@ def response_from_jsonable(obj: dict) -> SolveResponse:
     )
 
 
-def response_to_jsonable_full(response: SolveResponse) -> dict:
-    """Full-fidelity strict-JSON response encoding for shard transport.
-
-    The client-facing codec (:func:`response_to_jsonable`) is
-    deliberately lossy: it rounds ``elapsed``, drops the ``lam``/``mu``
-    duals and ``submitted_at``, and omits the warm-start/cache/batch
-    flags on the error branch.  The router↔shard hop cannot afford any
-    of that — the router re-delivers these responses verbatim and the
-    bit-identity guarantees depend on it — so this codec rides on the
-    base object and adds the missing fields, with non-finite dual
-    entries going through the same ``nonfinite`` sidecar so the frame
-    stays strict JSON."""
-    obj = response_to_jsonable(response, include_matrix=True)
-    obj["submitted_at"] = response.submitted_at
-    obj["warm_started"] = response.warm_started
-    obj["cache_exact"] = response.cache_exact
-    obj["batched"] = response.batched
-    obj["elapsed"] = response.elapsed
-    if response.ok:
-        nonfinite = obj.get("nonfinite") or {}
-        obj["result_elapsed"] = response.result.elapsed
-        for key, arr in (
-            ("lam", response.result.lam), ("mu", response.result.mu)
-        ):
-            if arr is None:
-                obj[key] = None
-            else:
-                obj[key], spots = _encode_array(arr)
-                if spots:
-                    nonfinite[key] = spots
-        if nonfinite:
-            obj["nonfinite"] = nonfinite
-    return obj
-
-
-def response_from_jsonable_full(obj: dict) -> SolveResponse:
-    """Inverse of :func:`response_to_jsonable_full` (bit-lossless)."""
-    resp = response_from_jsonable(obj)
-    resp.submitted_at = obj.get("submitted_at", 0)
-    resp.warm_started = bool(obj.get("warm_started", resp.warm_started))
-    resp.cache_exact = bool(obj.get("cache_exact", resp.cache_exact))
-    resp.batched = bool(obj.get("batched", resp.batched))
-    if "elapsed" in obj and obj["elapsed"] is not None:
-        resp.elapsed = float(obj["elapsed"])
-    if resp.result is not None:
-        nonfinite = obj.get("nonfinite") or {}
-        resp.result.lam = _decode_array(obj.get("lam"), nonfinite.get("lam"))
-        resp.result.mu = _decode_array(obj.get("mu"), nonfinite.get("mu"))
-        resp.result.elapsed = float(
-            obj.get("result_elapsed", resp.result.elapsed)
-        )
-    return resp
-
-
 def decode_request_line(
     line: str, lineno: int = 0
 ) -> SolveRequest | RequestError | None:
     """Decode one JSONL frame into a request.
 
     Returns ``None`` for a blank line, a :class:`RequestError` for a
-    malformed one (invalid JSON, a non-object, a missing or undecodable
-    problem payload).  This is the single framing decoder shared by the
-    stdin JSONL session (:func:`read_requests`) and the TCP edge
-    (:mod:`repro.edge`), so both wires accept and reject exactly the
-    same frames."""
+    malformed one (invalid JSON — nesting too deep to parse included —
+    a non-object, a missing or undecodable problem payload).  This is
+    the single framing decoder shared by the stdin JSONL session
+    (:func:`read_requests`) and the TCP edge (:mod:`repro.edge`), so
+    both wires accept and reject exactly the same frames."""
     line = line.strip()
     if not line:
         return None
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's stack.
         return RequestError(lineno, f"line {lineno}: invalid JSON ({exc})")
     try:
         return request_from_jsonable(obj)

@@ -35,7 +35,6 @@ from repro.service import (
 from repro.service.admission import AdmissionConfig, AdmissionController
 from repro.service.journal import (
     Journal,
-    ReplicaJournal,
     derive_request_id,
     replay,
     response_from_record,
@@ -215,10 +214,11 @@ class TestJournal:
         assert rec.error_kind == "internal" and rec.submitted_at == 3
 
 
-class TestReplicaJournal:
-    """The router-side replica of a shipped remote WAL shares the
-    journal's torn-tail and fsync discipline — same file format, same
-    crash-consistency, byte-for-byte appends."""
+class TestJournalAppendLine:
+    """The router-side replica of a shipped remote WAL is a plain
+    :class:`Journal` fed through ``append_line`` — same file format,
+    same torn-tail and fsync discipline, byte-for-byte appends, and one
+    record predicate for what it accepts and what a reopen keeps."""
 
     def _line(self, rng, rid, seq=0, answered=False):
         req = SolveRequest(problem=random_fixed_problem(rng, 3, 3), id=rid)
@@ -238,7 +238,7 @@ class TestReplicaJournal:
     def test_append_line_is_byte_for_byte_and_indexed(self, tmp_path, rng):
         path = tmp_path / "replica.journal"
         lines = [self._line(rng, "r0"), self._line(rng, "r0", answered=True)]
-        with ReplicaJournal(path, fsync=1) as rep:
+        with Journal(path, fsync=1) as rep:
             for line in lines:
                 rep.append_line(line)
             assert rep.lines == 2 and rep.request_records == 1
@@ -250,7 +250,7 @@ class TestReplicaJournal:
 
     def test_corrupt_ship_is_rejected_before_the_write(self, tmp_path, rng):
         path = tmp_path / "replica.journal"
-        with ReplicaJournal(path) as rep:
+        with Journal(path) as rep:
             rep.append_line(self._line(rng, "r0"))
             for bad in ('{"type":"request","id"', '"not-a-record"', "[1,2]",
                         '{"no":"type"}'):
@@ -266,13 +266,13 @@ class TestReplicaJournal:
         ``lines`` cursor is the reconnect ``have`` the router sends, so
         an overcount would make catch-up skip shipped records."""
         path = tmp_path / "replica.journal"
-        rep = ReplicaJournal(path, fsync=4)
+        rep = Journal(path, fsync=4)
         for i in range(3):
             rep.append_line(self._line(rng, f"r{i}", seq=i))
         with path.open("a") as fh:
             fh.write('{"type":"response","id":"r2","resp')  # torn mid-ship
         del rep  # writer dies; never closed
-        rep2 = ReplicaJournal(path, fsync=4)
+        rep2 = Journal(path, fsync=4)
         try:
             assert rep2.lines == 3
             assert not rep2.answered("r2")
@@ -281,6 +281,91 @@ class TestReplicaJournal:
             assert rep2.lines == 4 and rep2.answered("r2")
         finally:
             rep2.close()
+
+    def test_multiline_record_is_rejected(self, tmp_path, rng):
+        """Valid JSON spread over two lines is one record in memory but
+        two on disk — the reopen would drop it and shrink the ``have``
+        cursor under the router.  Shipped lines are whole lines only."""
+        path = tmp_path / "replica.journal"
+        with Journal(path) as rep:
+            rep.append_line(self._line(rng, "r0"))
+            good = self._line(rng, "r1", seq=1)
+            for bad in (good.replace(",", ",\n", 1),
+                        good.replace(",", ",\r", 1)):
+                json.loads(bad)  # valid JSON, still not one line
+                with pytest.raises(ValueError):
+                    rep.append_line(bad)
+            assert rep.lines == 1
+        with Journal(path) as reopened:
+            assert reopened.lines == 1
+
+    def test_non_string_id_is_never_written(self, tmp_path, rng):
+        """The scan drops a record without a string id and everything
+        after it, so the journal refuses to write one."""
+        path = tmp_path / "j.journal"
+        with Journal(path) as j:
+            j.append_request(
+                SolveRequest(problem=random_fixed_problem(rng, 3, 3), id="r0"))
+            with pytest.raises(ValueError, match="string id"):
+                j.append_request(
+                    SolveRequest(problem=random_fixed_problem(rng, 3, 3), id=7))
+            assert j.lines == 1 and 7 not in j
+        with Journal(path) as reopened:
+            assert reopened.lines == 1
+
+    def test_read_tail_returns_shipped_lines_whole(self, tmp_path, rng):
+        """Catch-up reads the file split exactly as the scan splits it,
+        so a shipped record whose text holds another line break (a raw
+        U+2028 inside a string) is re-shipped as the one line it is."""
+        path = tmp_path / "replica.journal"
+        answer = self._line(rng, "r0", answered=True)
+        assert '"error":"x"' in answer
+        lines = [self._line(rng, "r0"),
+                 answer.replace('"error":"x"', '"error":"x\u2028y"')]
+        with Journal(path) as rep:
+            for line in lines:
+                rep.append_line(line)
+            assert rep.read_tail(0) == lines
+            assert rep.read_tail(1) == lines[1:]
+
+    def test_undecodable_bytes_end_the_scan(self, tmp_path, rng):
+        """A line of invalid UTF-8 is a torn tail like any other: the
+        open truncates it and replay stops before it, never raising."""
+        path = tmp_path / "j.journal"
+        with Journal(path) as j:
+            j.append_request(
+                SolveRequest(problem=random_fixed_problem(rng, 3, 3), id="r0"))
+        good_size = path.stat().st_size
+        with path.open("ab") as fh:
+            fh.write(b'{"type":"request","id":"\xff\xfe"}\n')
+        unanswered, recorded = replay(path)
+        assert [r.id for r in unanswered] == ["r0"] and recorded == {}
+        with Journal(path) as reopened:
+            assert reopened.lines == 1 and reopened.pending_ids() == ["r0"]
+        assert path.stat().st_size == good_size
+
+    def test_record_without_payload_ends_the_scan(self, tmp_path, rng):
+        """A request record must carry its request object, a response
+        record its response object; one that does not is not a record,
+        for the scan and for a shipped line alike."""
+        path = tmp_path / "j.journal"
+        with Journal(path) as j:
+            j.append_request(
+                SolveRequest(problem=random_fixed_problem(rng, 3, 3), id="r0"))
+        good_size = path.stat().st_size
+        with path.open("a") as fh:
+            fh.write('{"type":"request","id":"x"}\n')
+        unanswered, recorded = replay(path)
+        assert [r.id for r in unanswered] == ["r0"] and recorded == {}
+        with Journal(path) as reopened:
+            assert reopened.lines == 1
+            for bad in ('{"type":"request","id":"x"}',
+                        '{"type":"response","id":"r0","response":[]}',
+                        '{"type":"request","id":7,"request":{}}'):
+                with pytest.raises(ValueError):
+                    reopened.append_line(bad)
+            assert reopened.lines == 1
+        assert path.stat().st_size == good_size
 
 
 class TestAdmission:

@@ -124,6 +124,34 @@ class TestRoundTrip:
         assert got[1]["line"] == 2 and got[2]["line"] == 3
         assert stats.edge_errors == 2 and stats.requests == 2
 
+    def test_deeply_nested_frame_answers_and_keeps_the_connection(
+        self, rng
+    ):
+        """A line nested deeper than the JSON parser's stack is one more
+        malformed frame: it gets its error, and the request behind it
+        on the same connection is still answered.  The first line also
+        names a session, so the session-hello parse sees it too."""
+        small = random_fixed_problem(rng, 3, 3)
+
+        async def scenario():
+            with SolveService() as svc:
+                server = await _start(svc, window=1)
+                async with await EdgeClient.connect(
+                    "127.0.0.1", server.port
+                ) as client:
+                    await client.send_raw('{"session":' + "[" * 100_000)
+                    await client.send_raw("[" * 100_000)
+                    await client.send(_line(small, "after"))
+                    got = [await client.recv(timeout=30) for _ in range(3)]
+                await server.close()
+            return got
+
+        got = asyncio.run(scenario())
+        assert [r["status"] for r in got] == ["error", "error", "ok"]
+        assert all(r["error"]["kind"] == "invalid-request" for r in got[:2])
+        assert [r["line"] for r in got[:2]] == [1, 2]
+        assert got[2]["id"] == "after"
+
     def test_duplicate_inflight_id_answers_structured_error(self, rng):
         """Reusing an id while the first use is still in flight is
         refused at the edge — a journal-less service would otherwise

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import pathlib
 import re
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -46,6 +48,7 @@ from repro.cluster import (
 )
 from repro.cluster.worker import ShardCrashedError
 from repro.core.api import solve
+from repro.core.problems import FixedTotalsProblem
 from repro.errors import DuplicateRequestError
 from repro.service import SolveService
 from repro.service.request import SolveRequest
@@ -60,15 +63,52 @@ FAST_NET = dict(connect_timeout=2.0, max_reconnects=2, backoff_base=0.02,
                 backoff_max=0.1, seed=1)
 
 
-class _Host:
-    """One thread-hosted 'remote machine': a SolveService + ShardServer."""
+def nonfinite_problem() -> FixedTotalsProblem:
+    """A fixed problem with ``NaN`` in ``x0`` and ``inf`` in ``gamma``
+    on its one masked-out cell.  Valid — the cell never enters the
+    solve — yet non-finite on every hop it crosses, and its objective
+    is ``NaN``.  Its zero pattern routes it to shard-0 of a 2- or
+    3-shard ring."""
+    cell = (2, 1)
+    mask = np.ones((4, 5), dtype=bool)
+    mask[cell] = False
+    x0 = np.arange(1.0, 21.0).reshape(4, 5)
+    x0[cell] = np.nan
+    gamma = np.full((4, 5), 2.0)
+    gamma[cell] = np.inf
+    rows = np.where(mask, x0, 0.0).sum(axis=1) * np.linspace(1.2, 0.8, 4)
+    cols = np.where(mask, x0, 0.0).sum(axis=0)
+    return FixedTotalsProblem(
+        x0=x0, gamma=gamma, s0=rows, d0=cols * rows.sum() / cols.sum(),
+        mask=mask,
+    )
 
-    def __init__(self, tmp_path, name, *, fsync=1):
+
+def assert_same_answer(got, want) -> None:
+    """Bit-identical solution and duals, and the same objective.  The
+    objective compares as a value: JSON text carries a ``NaN`` without
+    its sign bit, on the shard wire as in the journal."""
+    for key in ("x", "lam", "mu"):
+        assert getattr(got.result, key).tobytes() == \
+            getattr(want, key).tobytes(), key
+    np.testing.assert_equal(got.result.objective, want.objective)
+
+
+class _Host:
+    """One thread-hosted 'remote machine': a SolveService + ShardServer.
+    ``recover=True`` restarts the host from the journal it left."""
+
+    def __init__(self, tmp_path, name, *, fsync=1, recover=False):
         self.name = name
         self.journal_path = pathlib.Path(tmp_path) / f"{name}-local.journal"
-        self.service = SolveService(
-            journal=self.journal_path, fsync=fsync, **SVC_KW
-        )
+        if recover:
+            self.service = SolveService.recover(
+                self.journal_path, fsync=fsync, **SVC_KW
+            )
+        else:
+            self.service = SolveService(
+                journal=self.journal_path, fsync=fsync, **SVC_KW
+            )
         self.server = ShardServer(self.service, shard_id=name)
         self.thread = threading.Thread(
             target=self.server.serve_forever, daemon=True, name=name
@@ -171,21 +211,90 @@ class TestTransport:
             host.close()
 
 
+    def test_nested_frame_drops_only_its_connection(self, tmp_path, rng):
+        """A frame nested deeper than the JSON parser's stack is an
+        undecodable frame: the server drops that connection and keeps
+        listening, so a fresh router still gets its hello."""
+        host = _Host(tmp_path, "remote-a")
+        try:
+            with socket.create_connection(
+                parse_host_port(host.spec), timeout=10
+            ) as raw:
+                raw.sendall(b"[" * 100_000 + b"\n")
+                assert raw.recv(1) == b""  # dropped, never answered
+            shard = NetShard("shard-0", *parse_host_port(host.spec),
+                             replica_path=tmp_path / "r.journal",
+                             **FAST_NET)
+            try:
+                assert shard.hello["shard"] == "remote-a"
+                assert shard.submit(SolveRequest(
+                    problem=random_fixed_problem(rng, 5, 5), id="n0"
+                )) == "n0"
+            finally:
+                shard.close()
+        finally:
+            host.close()
+
+
 class TestJournalShipping:
     def test_replica_mirrors_remote_journal_bytes(self, tmp_path, rng):
+        problems = [random_fixed_problem(rng, 6, 5) for _ in range(5)]
+        # One more input with non-finite cells: NaN/inf cross the hop
+        # in the request, the NaN objective in the drained response.
+        problems.append(nonfinite_problem())
+        with tc.inline_cluster(
+            shards=2, journal_dir=tmp_path / "baseline"
+        ) as base:
+            for problem in problems:
+                base.submit(problem)
+            baseline = {r.id: r for r in base.drain()}
         with net_cluster(tmp_path, shards=2) as svc:
-            for _ in range(5):
-                svc.submit(random_fixed_problem(rng, 6, 5))
+            for problem in problems:
+                svc.submit(problem)
             responses = svc.drain()
-            assert len(responses) == 5 and all(r.ok for r in responses)
+            assert len(responses) == 6 and all(r.ok for r in responses)
             router = svc.stats().router
-            assert router["shipped_records"] == 10  # 5 requests + 5 responses
+            assert router["shipped_records"] == 12  # 6 requests + 6 responses
             hosts = svc._test_hosts
         # Byte-for-byte: shard-i's shipped replica equals remote-i's
         # local WAL (specs were passed in order).
         for i, host in enumerate(hosts):
             replica = tmp_path / "replicas" / f"shard-{i}.journal"
             assert replica.read_bytes() == host.journal_path.read_bytes()
+        # Every answer is the inline backend's, bit for bit.
+        assert [r.id for r in responses] == list(baseline)
+        for resp in responses:
+            assert_same_answer(resp, baseline[resp.id].result)
+        assert math.isnan(responses[-1].result.objective)
+
+    def test_restarted_remote_hello_returns_the_recorded_answer(
+        self, tmp_path
+    ):
+        """A remote that answered, then restarted, hands the recorded
+        response back through its hello's ``recovered`` list — bit for
+        bit, non-finite objective included."""
+        problem = nonfinite_problem()
+        host = _Host(tmp_path, "remote-a")
+        first = NetShard("shard-0", *parse_host_port(host.spec),
+                         replica_path=tmp_path / "r.journal", fsync=1)
+        first.submit(SolveRequest(problem=problem, id="nf"))
+        host.service.drain()  # answered and journaled, never delivered
+        first.kill()
+        first.close()
+        host.close()
+        revived = _Host(tmp_path, "remote-a", recover=True)
+        try:
+            second = NetShard("shard-0", *parse_host_port(revived.spec),
+                              replica_path=tmp_path / "r.journal", fsync=1)
+            (resp,) = second.hello["recovered"]
+            assert resp.id == "nf" and second.hello["replayed"] == []
+            assert_same_answer(resp, solve(problem))
+            assert math.isnan(resp.result.objective)
+            assert (tmp_path / "r.journal").read_bytes() == \
+                revived.journal_path.read_bytes()
+            second.close()
+        finally:
+            revived.close()
 
     def test_fresh_replica_catches_up_on_connect(self, tmp_path, rng):
         host = _Host(tmp_path, "remote-a")
@@ -305,10 +414,14 @@ class TestHostLossFailover:
         recorded response verbatim — never re-solve it."""
         with net_cluster(tmp_path, shards=2) as svc:
             problems = [random_fixed_problem(rng, 6, 5) for _ in range(6)]
+            # One more input, on shard-0: a non-finite answer must come
+            # back from the replica bit for bit too.
+            problems.append(nonfinite_problem())
             ids = [svc.submit(p) for p in problems]
             on_zero = [rid for rid in ids
                        if svc._pending[rid].shard == "shard-0"]
             assert on_zero  # 6 draws always spread over 2 shards
+            assert ids[-1] in on_zero
             host = svc._test_hosts[0]
             # The remote answers internally (its own drain loop)...
             host.service.drain()
@@ -326,6 +439,7 @@ class TestHostLossFailover:
             np.testing.assert_array_equal(
                 responses[rid].result.x, solve(problem).x
             )
+        assert_same_answer(responses[ids[-1]], solve(problems[-1]))
 
     def test_failover_without_survivors_raises(self, tmp_path, rng):
         with net_cluster(tmp_path, shards=1) as svc:

@@ -255,6 +255,7 @@ class TestFramingParity:
             ('{"id":"x"}', RequestError),          # missing problem
             ('{"id":"x","problem":{"kind":"??"}}', RequestError),
             ('"just a string"', RequestError),
+            ("[" * 100_000, RequestError),         # nested past the parser
         ]
 
     def test_classification(self, rng):
