@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.convergence import StoppingRule
 from repro.core.problems import (
     ElasticProblem,
     FixedTotalsProblem,
@@ -29,10 +30,18 @@ from repro.core.problems import (
     SAMProblem,
 )
 from repro.core.result import SolveResult
-from repro.core.sea import solve_elastic, solve_fixed, solve_sam
+from repro.core.sea import _SPECS, solve_elastic, solve_fixed, solve_sam
+from repro.core.sea_general import default_stop as general_default_stop
 from repro.core.sea_general import solve_general
 
-__all__ = ["solve", "fingerprint", "Fingerprint", "problem_kind", "totals_vector"]
+__all__ = [
+    "solve",
+    "fingerprint",
+    "Fingerprint",
+    "problem_kind",
+    "default_stop",
+    "totals_vector",
+]
 
 
 def _digest(*parts) -> str:
@@ -87,6 +96,23 @@ def problem_kind(problem) -> str:
     if type(problem) is GeneralProblem:
         return f"general-{problem.kind}"
     raise TypeError(f"no kind tag for {type(problem).__name__}")
+
+
+def default_stop(kind: str) -> StoppingRule:
+    """The stopping rule a core solver applies when it is given none.
+
+    ``kind`` is a :func:`problem_kind` tag: the diagonal kinds take
+    their :class:`~repro.core.sea.DiagonalVariant`'s paper default and
+    ``general-*`` the outer rule of
+    :func:`~repro.core.sea_general.solve_general`; any other tag gets
+    the plain :class:`StoppingRule` defaults.
+    """
+    if kind.startswith("general-"):
+        return general_default_stop()
+    for spec in _SPECS.values():
+        if spec.kind == kind:
+            return spec.default_stop()
+    return StoppingRule()
 
 
 def totals_vector(problem) -> np.ndarray:

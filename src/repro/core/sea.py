@@ -27,7 +27,10 @@ problem's constant vectors.  The term formulas are elementwise, so they
 apply unchanged whether the leading axis is one problem's rows (the solo
 drivers below) or a whole batch of stacked problems
 (:func:`repro.service.batching.solve_batch`) — solo and batch solves share
-this one source of truth and are bit-identical.
+this one source of truth and are bit-identical.  The sparse drivers of
+:mod:`repro.sparse.sea` take the same variant and stopping rule; their
+segmented kernel sums in another order, so they agree with these to
+roundoff rather than bit for bit.
 
 The ``kernel`` argument lets the parallel executor substitute a
 row-partitioned solver for the default whole-matrix vectorized one; the
@@ -42,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.convergence import StoppingRule, relative_imbalance
+from repro.core.convergence import StoppingRule
 from repro.core.problems import ElasticProblem, FixedTotalsProblem, SAMProblem
 from repro.core.result import PhaseCounts, SolveResult
 from repro.equilibration.exact import recover_flows, solve_piecewise_linear
@@ -116,10 +119,6 @@ class DiagonalVariant:
     @staticmethod
     def totals(data, lam, mu):
         raise NotImplementedError
-
-    @staticmethod
-    def residual(stop, x, x_prev, s, d) -> float:
-        return stop.residual(x, x_prev, s, d)
 
     @staticmethod
     def objective(problem, x, s, d) -> float:
@@ -235,12 +234,6 @@ class _SAMVariant(DiagonalVariant):
         return s, s
 
     @staticmethod
-    def residual(stop, x, x_prev, s, d) -> float:
-        if stop.criterion == "imbalance":
-            return relative_imbalance(x, s, axis=0)
-        return stop.residual(x, x_prev, s, s)
-
-    @staticmethod
     def objective(problem, x, s, d):
         return problem.objective(x, s)
 
@@ -330,7 +323,7 @@ def _run_diagonal(
         # Step 3: convergence verification (the serial phase).
         if stop.due(t):
             s, d = spec.totals(data, lam, mu)
-            residual = spec.residual(stop, x, x_prev, s, d)
+            residual = stop.residual(x, x_prev, s, d)
             counts.add_convergence_check(m, n)
             if record_history:
                 history.append(residual)

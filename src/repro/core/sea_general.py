@@ -39,7 +39,12 @@ from repro.core.sea import solve_elastic, solve_fixed, solve_sam
 from repro.equilibration.exact import solve_piecewise_linear
 from repro.equilibration.workspace import SweepWorkspace
 
-__all__ = ["solve_general", "diagonalized_bases"]
+__all__ = ["solve_general", "diagonalized_bases", "default_stop"]
+
+
+def default_stop() -> StoppingRule:
+    """Outer stopping rule of :func:`solve_general` when given none."""
+    return StoppingRule(eps=1e-3, criterion="delta-x")
 
 
 def diagonalized_bases(
@@ -88,7 +93,7 @@ def solve_general(
         from one projection to the next; by default a pair is created
         here whenever the inner solves would use one anyway.
     """
-    stop = stop or StoppingRule(eps=1e-3, criterion="delta-x")
+    stop = stop or default_stop()
     t0 = time.perf_counter()
     m, n = problem.shape
     if workspaces is None and kernel is solve_piecewise_linear:

@@ -6,9 +6,10 @@ processor of the IBM 3090-600E.  Here:
 
 * :mod:`repro.parallel.partition` splits the subproblem index range
   into per-processor blocks;
-* :mod:`repro.parallel.executor` provides drop-in ``kernel`` callables
-  for the SEA solvers that run the blocks serially, on a thread pool,
-  or on a process pool;
+* :mod:`repro.parallel.executor` provides :class:`ParallelKernel`, the
+  one pool kernel: a drop-in ``kernel`` callable for the SEA solvers
+  that runs the blocks serially, on a thread pool, or on a process
+  pool;
 * :mod:`repro.parallel.costmodel` is the deterministic machine model
   (operation counts + Amdahl composition with the serial
   convergence-verification phase) that regenerates the paper's speedup
@@ -18,11 +19,9 @@ processor of the IBM 3090-600E.  Here:
 from repro.parallel.costmodel import CostModel, SpeedupPoint
 from repro.parallel.executor import ParallelKernel
 from repro.parallel.partition import partition_blocks
-from repro.parallel.shared import SharedMemoryKernel
 
 __all__ = [
     "ParallelKernel",
-    "SharedMemoryKernel",
     "partition_blocks",
     "CostModel",
     "SpeedupPoint",

@@ -110,29 +110,27 @@ def _solve_block(args):
 
     The counter deltas ride back with the result (pickled, for process
     workers) so the parent kernel can aggregate sort-reuse rates it
-    never observes directly; ``None`` stats mean the block ran the cold
-    kernel (no workspace, nothing to count).
+    never observes directly; ``None`` stats mean a concurrent dispatch
+    held the block's workspace, so the block ran the cold kernel
+    (nothing to count).
     """
     token, idx, breakpoints, slopes, target, a, c = args
-    if token is not None:
-        lock, ws = _block_workspace((token, idx, breakpoints.shape), breakpoints.shape)
-        if lock.acquire(blocking=False):
-            try:
-                before = ws.counters_extended()
-                lam = solve_piecewise_linear(
-                    breakpoints, slopes, target, a=a, c=c, workspace=ws
-                )
-                after = ws.counters_extended()
-                return lam, {
-                    "reused": after["rows_reused"] - before["rows_reused"],
-                    "resorted": after["rows_resorted"] - before["rows_resorted"],
-                    "full_resorts": (
-                        after["full_resorts"] - before["full_resorts"]
-                    ),
-                    "backend": ws.backend_name,
-                }
-            finally:
-                lock.release()
+    lock, ws = _block_workspace((token, idx, breakpoints.shape), breakpoints.shape)
+    if lock.acquire(blocking=False):
+        try:
+            before = ws.counters_extended()
+            lam = solve_piecewise_linear(
+                breakpoints, slopes, target, a=a, c=c, workspace=ws
+            )
+            after = ws.counters_extended()
+            return lam, {
+                "reused": after["rows_reused"] - before["rows_reused"],
+                "resorted": after["rows_resorted"] - before["rows_resorted"],
+                "full_resorts": after["full_resorts"] - before["full_resorts"],
+                "backend": ws.backend_name,
+            }
+        finally:
+            lock.release()
     lam = solve_piecewise_linear(breakpoints, slopes, target, a=a, c=c)
     return lam, None
 
@@ -185,7 +183,6 @@ class ParallelKernel:
         backend: str = "serial",
         max_retries: int = 2,
         retry_backoff_s: float = 0.05,
-        use_workspaces: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -197,12 +194,11 @@ class ParallelKernel:
         self.backend = backend
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
-        self.use_workspaces = use_workspaces
         # Stable per-kernel token: block workspaces (in this process and
         # in pool workers) key on it, so dispatches from the same kernel
         # find their previous sweep's permutation and different kernels
         # never collide.
-        self._ws_token = next(_WS_TOKENS) if use_workspaces else None
+        self._ws_token = next(_WS_TOKENS)
         self._ladder = _LADDERS[backend]
         self._rung = 0
         self._pool: Executor | None = None
@@ -319,8 +315,7 @@ class ParallelKernel:
                 self.sort_full_resorts += stats["full_resorts"]
                 name = stats["backend"]
                 self.backend_solves[name] = self.backend_solves.get(name, 0) + 1
-        if token is not None:
-            self.sort_sweeps += 1
+        self.sort_sweeps += 1
         return out
 
     def _run_tasks(self, tasks, timeout):

@@ -245,9 +245,7 @@ def solve_batch(
             else:
                 for i in active:
                     s_i, d_i = spec.totals(_row(i), lam[i], mu[i])
-                    residual[i] = spec.residual(
-                        stop, x[i], x_prev[i], s_i, d_i
-                    )
+                    residual[i] = stop.residual(x[i], x_prev[i], s_i, d_i)
             checks[active] += 1
             retired = active[residual[active] <= stop.eps]
             if retired.size:

@@ -13,21 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.api import default_stop
 from repro.core.convergence import StoppingRule
 from repro.core.result import SolveResult
 from repro.errors import InvalidProblemError
 
 __all__ = ["SolveRequest", "SolveResponse", "resolve_stop"]
-
-# Paper-default tolerances per problem kind (Section 3 stopping rules).
-_DEFAULT_STOPS: dict[str, tuple[float, str]] = {
-    "fixed": (1e-2, "delta-x"),
-    "elastic": (1e-2, "delta-x"),
-    "sam": (1e-3, "imbalance"),
-    "general-fixed": (1e-3, "delta-x"),
-    "general-elastic": (1e-3, "delta-x"),
-    "general-sam": (1e-3, "delta-x"),
-}
 
 
 @dataclass
@@ -92,6 +83,10 @@ class SolveRequest:
 def resolve_stop(request: SolveRequest, kind: str) -> StoppingRule | None:
     """Build the request's stopping rule, or ``None`` for solver defaults.
 
+    Fields the request leaves unset take the solver's own default rule
+    for ``kind`` (:func:`repro.core.api.default_stop`), so a partial
+    override changes only what it names.
+
     Raises :class:`~repro.errors.InvalidProblemError` on out-of-domain
     overrides (``eps <= 0``, ``max_iterations < 1``) so a bad request
     dies with a classified error before it touches the worker pool.
@@ -110,11 +105,11 @@ def resolve_stop(request: SolveRequest, kind: str) -> StoppingRule | None:
         raise InvalidProblemError(
             f"max_iterations must be >= 1, got {request.max_iterations!r}"
         )
-    eps_default, criterion_default = _DEFAULT_STOPS.get(kind, (1e-2, "delta-x"))
+    default = default_stop(kind)
     return StoppingRule(
-        eps=request.eps if request.eps is not None else eps_default,
-        criterion=request.criterion or criterion_default,
-        max_iterations=request.max_iterations or 10_000,
+        eps=request.eps if request.eps is not None else default.eps,
+        criterion=request.criterion or default.criterion,
+        max_iterations=request.max_iterations or default.max_iterations,
     )
 
 

@@ -10,10 +10,13 @@ subpackage stores only the active cells:
 * :mod:`repro.sparse.kernel` — exact equilibration over ragged rows via
   a segmented sort-and-scan (lexsort by (row, breakpoint), segment-reset
   prefix sums, per-row first-valid-segment selection);
-* :mod:`repro.sparse.sea` — ``solve_fixed_sparse``, a drop-in for
-  :func:`repro.core.sea.solve_fixed` on masked problems, bit-compatible
-  with the dense path (asserted in the tests) at ``O(nnz log nnz)``
-  per sweep instead of ``O(m n log n)``.
+* :mod:`repro.sparse.sea` — ``solve_fixed_sparse`` /
+  ``solve_elastic_sparse`` / ``solve_sam_sparse``, drop-ins for the
+  dense drivers of :mod:`repro.core.sea` on masked problems at
+  ``O(nnz log nnz)`` per sweep instead of ``O(m n log n)``.  They share
+  the dense variant table, stopping criteria and ``infeasible`` errors,
+  stop at the same sweep, and agree with dense to roundoff (the tests
+  assert this), not bit for bit.
 """
 
 from repro.sparse.kernel import solve_piecewise_linear_sparse

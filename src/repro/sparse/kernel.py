@@ -8,7 +8,10 @@ Solves, for every row ``i`` with active cells ``j in J_i``::
 without materializing the dense breakpoint matrix.  The dense kernel's
 per-row sort + prefix sums become a single ``lexsort`` by (row,
 breakpoint) and segment-reset cumulative sums over the flat nnz-length
-arrays — the classic segmented-scan formulation, all NumPy.
+arrays — the classic segmented-scan formulation, all NumPy.  The
+per-row constants go through the dense kernel's own coercion and
+feasibility check, so an infeasible row raises the same
+:class:`~repro.errors.InfeasibleProblemError` on both layouts.
 
 Like the dense kernel, the sparse one has a persistent-sweep fast path:
 :class:`SparseSweepWorkspace` hoists the per-call validation and reuses
@@ -27,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.equilibration.exact import _check_feasible, _coerce_terms
+
 __all__ = ["solve_piecewise_linear_sparse", "SparseSweepWorkspace"]
 
 
@@ -40,20 +45,6 @@ def _segment_cumsum(values: np.ndarray, starts_flags: np.ndarray) -> np.ndarray:
     seg_index = np.cumsum(starts_flags) - 1
     start_offsets = (total - values)[starts_flags]
     return total - start_offsets[seg_index]
-
-
-def _coerce_sparse_terms(m, target, a, c):
-    target = np.asarray(target, dtype=np.float64)
-    a_arr = np.zeros(m) if a is None else np.asarray(a, dtype=np.float64)
-    c_arr = np.zeros(m) if c is None else np.asarray(c, dtype=np.float64)
-    return target, a_arr, c_arr
-
-
-def _check_sparse_feasible(rhs, fixed, counts):
-    if np.any(fixed & (rhs < 0.0)):
-        raise ValueError("fixed-totals subproblem with negative target")
-    if np.any(fixed & (counts == 0) & (rhs > 0.0)):
-        raise ValueError("empty fixed row with positive target")
 
 
 def _select_sparse(
@@ -155,7 +146,7 @@ def solve_piecewise_linear_sparse(
     b = np.asarray(breakpoints, dtype=np.float64)
     s = np.asarray(slopes, dtype=np.float64)
     nnz = b.size
-    target, a_arr, c_arr = _coerce_sparse_terms(m, target, a, c)
+    target, a_arr, c_arr = _coerce_terms(m, target, a, c)
     if np.any(s <= 0.0):
         raise ValueError("sparse cells must carry strictly positive slopes")
     if np.any(np.diff(row_ids) < 0):
@@ -164,7 +155,7 @@ def solve_piecewise_linear_sparse(
     rhs = target - c_arr
     fixed = a_arr == 0.0
     counts = np.bincount(row_ids, minlength=m) if nnz else np.zeros(m, int)
-    _check_sparse_feasible(rhs, fixed, counts)
+    _check_feasible(rhs, fixed, counts)
 
     if nnz == 0:
         lam = np.zeros(m)
@@ -308,11 +299,11 @@ class SparseSweepWorkspace:
             raise RuntimeError("workspace is not bound; call bind() first")
         m = self.m
         b = np.asarray(breakpoints, dtype=np.float64)
-        target, a_arr, c_arr = _coerce_sparse_terms(m, target, a, c)
+        target, a_arr, c_arr = _coerce_terms(m, target, a, c)
 
         rhs = target - c_arr
         fixed = a_arr == 0.0
-        _check_sparse_feasible(rhs, fixed, self._counts)
+        _check_feasible(rhs, fixed, self._counts)
 
         if self.nnz == 0:
             lam = np.zeros(m)

@@ -1,12 +1,16 @@
 """SEA over the sparse execution path.
 
 ``solve_fixed_sparse`` / ``solve_elastic_sparse`` / ``solve_sam_sparse``
-mirror their dense counterparts in :mod:`repro.core.sea` but keep only
-the active cells in memory: per sweep they shift the constant flat
-breakpoints by the opposite multipliers (a gather), run the segmented
-kernel, and recover the flat flows.  On the paper's IO72 family (16%
-dense) the per-sweep work drops by ~6x; the tests assert agreement with
-the dense path to floating-point roundoff.
+run the dense drivers' rule set — the same
+:class:`~repro.core.sea.DiagonalVariant` kernel terms, recovered totals,
+objective and default stopping rule, and the same
+:meth:`~repro.core.convergence.StoppingRule.residual` — over one CSR
+sweep loop that keeps only the active cells in memory: per sweep it
+shifts the constant flat breakpoints by the opposite multipliers (a
+gather), runs the segmented kernel, and recovers the flat flows.  On the
+paper's IO72 family (16% dense) the per-sweep work drops by ~6x.  The
+segmented kernel sums in another order than the dense one, so answers
+agree with the dense path to floating-point roundoff, not bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +22,12 @@ import numpy as np
 from repro.core.convergence import StoppingRule
 from repro.core.problems import ElasticProblem, FixedTotalsProblem, SAMProblem
 from repro.core.result import PhaseCounts, SolveResult
+from repro.core.sea import (
+    DiagonalVariant,
+    _ElasticVariant,
+    _FixedVariant,
+    _SAMVariant,
+)
 from repro.sparse.kernel import (
     SparseSweepWorkspace,
     solve_piecewise_linear_sparse,
@@ -27,18 +37,98 @@ from repro.sparse.structure import SparsePattern
 __all__ = ["solve_fixed_sparse", "solve_elastic_sparse", "solve_sam_sparse"]
 
 
-class _FlatData:
-    """Flat (nnz,) views of a masked problem's cell data, both orders."""
+def _run_sparse(
+    problem,
+    spec: type[DiagonalVariant],
+    stop: StoppingRule | None,
+    record_history: bool,
+    workspaces,
+) -> SolveResult:
+    """One CSR driver for all three diagonal variants.
 
-    def __init__(self, problem) -> None:
-        self.pattern = SparsePattern(problem.mask)
-        p = self.pattern
-        gamma = problem.gamma[p.rows, p.cols]
-        x0 = problem.x0[p.rows, p.cols]
-        self.base = -2.0 * gamma * x0  # row-major
-        self.slopes = 1.0 / (2.0 * gamma)
-        self.base_c = self.base[p.csc_perm]
-        self.slopes_c = self.slopes[p.csc_perm]
+    The iterate is the flat row-major vector of active cells; the
+    convergence check hands :meth:`StoppingRule.residual` the pattern's
+    O(nnz) row sums, so no check densifies the matrix.
+    """
+    stop = stop or spec.default_stop()
+    t0 = time.perf_counter()
+    m, n = problem.shape
+    p = SparsePattern(problem.mask)
+    nnz = p.nnz
+    if workspaces is None:
+        workspaces = (SparseSweepWorkspace(nnz, m), SparseSweepWorkspace(nnz, n))
+    row_ws, col_ws = workspaces
+
+    gamma = problem.gamma[p.rows, p.cols]
+    x0 = problem.x0[p.rows, p.cols]
+    base = -2.0 * gamma * x0  # flat, row-major
+    slopes = 1.0 / (2.0 * gamma)
+    # Column-major copies for the column sweep.
+    base_c = base[p.csc_perm]
+    slopes_c = slopes[p.csc_perm]
+    data = spec.pack(problem)
+
+    lam = np.zeros(m)
+    mu = np.zeros(n)
+    x_prev = np.maximum(x0, 0.0)
+    x_flat = x_prev
+    counts = PhaseCounts(cells=m * n)
+    history: list[float] = []
+    converged = False
+    residual = np.inf
+    row_len = max(int(nnz / max(m, 1)), 1)
+    col_len = max(int(nnz / max(n, 1)), 1)
+
+    for t in range(1, stop.max_iterations + 1):
+        # Row sweep on row-major flats.
+        target_r, a_r, c_r = spec.row_terms(data, mu)
+        row_b = base - mu[p.cols]
+        lam = solve_piecewise_linear_sparse(
+            p.rows, row_b, slopes, m, target_r, a=a_r, c=c_r, workspace=row_ws
+        )
+        counts.add_equilibration(m, row_len)
+
+        # Column sweep on column-major flats, then flows back to row-major.
+        target_c, a_c, c_c = spec.col_terms(data, lam)
+        col_b = base_c - lam[p.rows_c]
+        mu = solve_piecewise_linear_sparse(
+            p.cols_c, col_b, slopes_c, n, target_c, a=a_c, c=c_c,
+            workspace=col_ws,
+        )
+        x_flat = np.empty(nnz)
+        x_flat[p.csc_perm] = slopes_c * np.maximum(mu[p.cols_c] - col_b, 0.0)
+        counts.add_equilibration(n, col_len)
+
+        if stop.due(t):
+            s, d = spec.totals(data, lam, mu)
+            residual = stop.residual(x_flat, x_prev, s, d, row_sums=p.row_sums)
+            counts.add_convergence_check(m, n)
+            if record_history:
+                history.append(residual)
+            if residual <= stop.eps:
+                converged = True
+                break
+        x_prev = x_flat
+
+    s, d = spec.totals(data, lam, mu)
+    s = np.array(s, dtype=np.float64)
+    d = np.array(d, dtype=np.float64)
+    x = p.to_dense(x_flat)
+    return SolveResult(
+        x=x,
+        s=s,
+        d=d,
+        lam=lam,
+        mu=mu,
+        converged=converged,
+        iterations=t,
+        residual=residual,
+        objective=spec.objective(problem, x, s, d),
+        elapsed=time.perf_counter() - t0,
+        algorithm=f"{spec.algorithm}-sparse",
+        history=history,
+        counts=counts,
+    )
 
 
 def solve_fixed_sparse(
@@ -48,82 +138,7 @@ def solve_fixed_sparse(
     workspaces=None,
 ) -> SolveResult:
     """Sparse-path SEA for masked fixed-totals problems."""
-    stop = stop or StoppingRule(eps=1e-2, criterion="delta-x")
-    t0 = time.perf_counter()
-    m, n = problem.shape
-    pattern = SparsePattern(problem.mask)
-    nnz = pattern.nnz
-    if workspaces is None:
-        workspaces = (SparseSweepWorkspace(nnz, m), SparseSweepWorkspace(nnz, n))
-    row_ws, col_ws = workspaces
-
-    gamma = problem.gamma[pattern.rows, pattern.cols]
-    x0 = problem.x0[pattern.rows, pattern.cols]
-    base = -2.0 * gamma * x0  # flat, row-major
-    slopes = 1.0 / (2.0 * gamma)
-    # Column-major copies for the column sweep.
-    base_c = base[pattern.csc_perm]
-    slopes_c = slopes[pattern.csc_perm]
-
-    lam = np.zeros(m)
-    mu = np.zeros(n)
-    x_prev = np.maximum(x0, 0.0)  # flat, row-major
-    x_flat = x_prev
-    counts = PhaseCounts(cells=m * n)
-    history: list[float] = []
-    converged = False
-    residual = np.inf
-    avg_row = nnz / max(m, 1)
-    avg_col = nnz / max(n, 1)
-
-    for t in range(1, stop.max_iterations + 1):
-        # Row sweep on row-major flats.
-        row_b = base - mu[pattern.cols]
-        lam = solve_piecewise_linear_sparse(
-            pattern.rows, row_b, slopes, m, problem.s0, workspace=row_ws
-        )
-        counts.add_equilibration(m, max(int(avg_row), 1))
-
-        # Column sweep on column-major flats.
-        col_b = base_c - lam[pattern.rows_c]
-        mu = solve_piecewise_linear_sparse(
-            pattern.cols_c, col_b, slopes_c, n, problem.d0, workspace=col_ws
-        )
-        x_c = slopes_c * np.maximum(mu[pattern.cols_c] - col_b, 0.0)
-        x_flat = np.empty(nnz)
-        x_flat[pattern.csc_perm] = x_c  # back to row-major
-        counts.add_equilibration(n, max(int(avg_col), 1))
-
-        if stop.due(t):
-            if stop.criterion == "delta-x":
-                residual = float(np.max(np.abs(x_flat - x_prev))) if nnz else 0.0
-            else:
-                residual = float(
-                    np.max(np.abs(pattern.row_sums(x_flat) - problem.s0))
-                )
-            counts.add_convergence_check(m, n)
-            if record_history:
-                history.append(residual)
-            if residual <= stop.eps:
-                converged = True
-                break
-        x_prev = x_flat
-
-    return SolveResult(
-        x=pattern.to_dense(x_flat),
-        s=problem.s0.copy(),
-        d=problem.d0.copy(),
-        lam=lam,
-        mu=mu,
-        converged=converged,
-        iterations=t,
-        residual=residual,
-        objective=problem.objective(pattern.to_dense(x_flat)),
-        elapsed=time.perf_counter() - t0,
-        algorithm="SEA-fixed-sparse",
-        history=history,
-        counts=counts,
-    )
+    return _run_sparse(problem, _FixedVariant, stop, record_history, workspaces)
 
 
 def solve_elastic_sparse(
@@ -133,78 +148,8 @@ def solve_elastic_sparse(
     workspaces=None,
 ) -> SolveResult:
     """Sparse-path SEA for masked elastic problems (unknown totals)."""
-    stop = stop or StoppingRule(eps=1e-2, criterion="delta-x")
-    t0 = time.perf_counter()
-    m, n = problem.shape
-    flat = _FlatData(problem)
-    p = flat.pattern
-    nnz = p.nnz
-    if workspaces is None:
-        workspaces = (SparseSweepWorkspace(nnz, m), SparseSweepWorkspace(nnz, n))
-    row_ws, col_ws = workspaces
-
-    a_row = 1.0 / (2.0 * problem.alpha)
-    a_col = 1.0 / (2.0 * problem.beta)
-    c_row = -problem.s0
-    c_col = -problem.d0
-    zeros_m = np.zeros(m)
-    zeros_n = np.zeros(n)
-
-    lam = np.zeros(m)
-    mu = np.zeros(n)
-    x_prev = np.maximum(problem.x0[p.rows, p.cols], 0.0)
-    x_flat = x_prev
-    counts = PhaseCounts(cells=m * n)
-    history: list[float] = []
-    converged = False
-    residual = np.inf
-    s = problem.s0.copy()
-    d = problem.d0.copy()
-
-    for t in range(1, stop.max_iterations + 1):
-        row_b = flat.base - mu[p.cols]
-        lam = solve_piecewise_linear_sparse(
-            p.rows, row_b, flat.slopes, m, zeros_m, a=a_row, c=c_row,
-            workspace=row_ws,
-        )
-        s = problem.s0 - lam * a_row
-        counts.add_equilibration(m, max(int(nnz / max(m, 1)), 1))
-
-        col_b = flat.base_c - lam[p.rows_c]
-        mu = solve_piecewise_linear_sparse(
-            p.cols_c, col_b, flat.slopes_c, n, zeros_n, a=a_col, c=c_col,
-            workspace=col_ws,
-        )
-        d = problem.d0 - mu * a_col
-        x_c = flat.slopes_c * np.maximum(mu[p.cols_c] - col_b, 0.0)
-        x_flat = np.empty(nnz)
-        x_flat[p.csc_perm] = x_c
-        counts.add_equilibration(n, max(int(nnz / max(n, 1)), 1))
-
-        if stop.due(t):
-            residual = float(np.max(np.abs(x_flat - x_prev))) if nnz else 0.0
-            counts.add_convergence_check(m, n)
-            if record_history:
-                history.append(residual)
-            if residual <= stop.eps:
-                converged = True
-                break
-        x_prev = x_flat
-
-    return SolveResult(
-        x=p.to_dense(x_flat),
-        s=s,
-        d=d,
-        lam=lam,
-        mu=mu,
-        converged=converged,
-        iterations=t,
-        residual=residual,
-        objective=problem.objective(p.to_dense(x_flat), s, d),
-        elapsed=time.perf_counter() - t0,
-        algorithm="SEA-elastic-sparse",
-        history=history,
-        counts=counts,
+    return _run_sparse(
+        problem, _ElasticVariant, stop, record_history, workspaces
     )
 
 
@@ -215,78 +160,4 @@ def solve_sam_sparse(
     workspaces=None,
 ) -> SolveResult:
     """Sparse-path SEA for masked SAM problems (balanced totals)."""
-    stop = stop or StoppingRule(eps=1e-3, criterion="imbalance")
-    t0 = time.perf_counter()
-    n = problem.n
-    flat = _FlatData(problem)
-    p = flat.pattern
-    nnz = p.nnz
-    if workspaces is None:
-        workspaces = (SparseSweepWorkspace(nnz, n), SparseSweepWorkspace(nnz, n))
-    row_ws, col_ws = workspaces
-
-    a_el = 1.0 / (2.0 * problem.alpha)
-    zeros_n = np.zeros(n)
-
-    lam = np.zeros(n)
-    mu = np.zeros(n)
-    x_prev = np.maximum(problem.x0[p.rows, p.cols], 0.0)
-    x_flat = x_prev
-    counts = PhaseCounts(cells=n * n)
-    history: list[float] = []
-    converged = False
-    residual = np.inf
-    s = problem.s0.copy()
-
-    for t in range(1, stop.max_iterations + 1):
-        row_b = flat.base - mu[p.cols]
-        c_row = mu * a_el - problem.s0
-        lam = solve_piecewise_linear_sparse(
-            p.rows, row_b, flat.slopes, n, zeros_n, a=a_el, c=c_row,
-            workspace=row_ws,
-        )
-        counts.add_equilibration(n, max(int(nnz / max(n, 1)), 1))
-
-        col_b = flat.base_c - lam[p.rows_c]
-        c_col = lam * a_el - problem.s0
-        mu = solve_piecewise_linear_sparse(
-            p.cols_c, col_b, flat.slopes_c, n, zeros_n, a=a_el, c=c_col,
-            workspace=col_ws,
-        )
-        s = problem.s0 - (lam + mu) * a_el
-        x_c = flat.slopes_c * np.maximum(mu[p.cols_c] - col_b, 0.0)
-        x_flat = np.empty(nnz)
-        x_flat[p.csc_perm] = x_c
-        counts.add_equilibration(n, max(int(nnz / max(n, 1)), 1))
-
-        if stop.due(t):
-            if stop.criterion == "imbalance":
-                rows_sum = p.row_sums(x_flat)
-                residual = float(
-                    np.max(np.abs(rows_sum - s) / np.maximum(np.abs(s), 1e-12))
-                )
-            else:
-                residual = float(np.max(np.abs(x_flat - x_prev))) if nnz else 0.0
-            counts.add_convergence_check(n, n)
-            if record_history:
-                history.append(residual)
-            if residual <= stop.eps:
-                converged = True
-                break
-        x_prev = x_flat
-
-    return SolveResult(
-        x=p.to_dense(x_flat),
-        s=s,
-        d=s.copy(),
-        lam=lam,
-        mu=mu,
-        converged=converged,
-        iterations=t,
-        residual=residual,
-        objective=problem.objective(p.to_dense(x_flat), s),
-        elapsed=time.perf_counter() - t0,
-        algorithm="SEA-sam-sparse",
-        history=history,
-        counts=counts,
-    )
+    return _run_sparse(problem, _SAMVariant, stop, record_history, workspaces)

@@ -66,6 +66,37 @@ def random_sam_problem(rng: np.random.Generator, n: int) -> SAMProblem:
     )
 
 
+def masked_elastic_problem(
+    rng: np.random.Generator, m: int, n: int, density: float = 0.5
+) -> ElasticProblem:
+    """A random elastic problem on a random mask (row 0 and column 0
+    stay active)."""
+    base = random_elastic_problem(rng, m, n)
+    mask = rng.random((m, n)) < density
+    mask[:, 0] = True
+    mask[0, :] = True
+    return ElasticProblem(
+        x0=base.x0, gamma=base.gamma, s0=base.s0, d0=base.d0,
+        alpha=base.alpha, beta=base.beta, mask=mask,
+    )
+
+
+def masked_sam_problem(
+    rng: np.random.Generator, n: int, density: float = 0.6
+) -> SAMProblem:
+    """A random SAM on a random mask with a zero diagonal; a cycle of
+    off-diagonal cells keeps every account connected both ways."""
+    base = random_sam_problem(rng, n)
+    mask = rng.random((n, n)) < density
+    np.fill_diagonal(mask, False)
+    mask[np.arange(n), (np.arange(n) + 1) % n] = True
+    mask[(np.arange(n) + 1) % n, np.arange(n)] = True
+    return SAMProblem(
+        x0=np.where(mask, base.x0, 0.0), gamma=base.gamma,
+        s0=base.s0, alpha=base.alpha, mask=mask,
+    )
+
+
 def reference_fixed_solution(problem: FixedTotalsProblem) -> np.ndarray:
     """Solve a small fixed-totals problem with SciPy trust-constr
     (independent oracle; use only for m*n up to ~50)."""

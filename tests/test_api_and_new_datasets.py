@@ -1,4 +1,4 @@
-"""solve() dispatcher, contingency/voting datasets, shared-memory kernel."""
+"""solve() dispatcher, contingency/voting datasets."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.datasets.contingency import (
     voting_transition_instance,
 )
 from repro.datasets.general import general_table7_instance
-from repro.parallel.shared import SharedMemoryKernel
 
 TIGHT = StoppingRule(eps=1e-8, max_iterations=5000)
 
@@ -93,23 +92,3 @@ class TestVotingTransitions:
     def test_swing_moves_totals(self):
         problem = voting_transition_instance(swing=0.3)
         assert not np.allclose(problem.s0, problem.d0)
-
-
-class TestSharedMemoryKernel:
-    def test_bit_identical_to_vectorized(self, rng):
-        problem = random_fixed_problem(rng, 12, 9, total_factor_low=0.4)
-        baseline = solve_fixed(problem, stop=TIGHT)
-        with SharedMemoryKernel(workers=2) as kernel:
-            result = solve_fixed(problem, stop=TIGHT, kernel=kernel)
-        np.testing.assert_array_equal(result.x, baseline.x)
-
-    def test_single_worker_shortcut(self, rng):
-        problem = random_fixed_problem(rng, 5, 5)
-        with SharedMemoryKernel(workers=1) as kernel:
-            result = solve_fixed(problem, kernel=kernel)
-            assert kernel._pool is None
-        assert result.converged
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SharedMemoryKernel(workers=0)

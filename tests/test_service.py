@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    masked_elastic_problem,
+    masked_sam_problem,
     random_elastic_problem,
     random_fixed_problem,
     random_sam_problem,
@@ -386,16 +388,18 @@ class TestService:
         assert svc.collect() == []  # delivered exactly once
 
     def test_error_isolation_single(self, rng):
-        with SolveService() as svc:
-            good = svc.solve(random_fixed_problem(rng, 4, 4))
-            bad = svc.solve(infeasible_fixed())
-        assert good.ok
-        assert not bad.ok and "InfeasibleProblemError" in bad.error
-        assert bad.error_kind == "infeasible"
-        assert bad.retries == 0  # deterministic errors are never retried
-        stats = svc.stats()
-        assert stats.errors == 1 and stats.completed == 1
-        assert stats.errors_by_kind == {"infeasible": 1}
+        for engine in ("dense", "sparse"):
+            with SolveService() as svc:
+                good = svc.solve(random_fixed_problem(rng, 4, 4), engine=engine)
+                bad = svc.solve(infeasible_fixed(), engine=engine)
+            assert good.ok, engine
+            assert not bad.ok and "InfeasibleProblemError" in bad.error, engine
+            assert bad.error_kind == "infeasible", engine
+            # Deterministic errors are never retried.
+            assert bad.retries == 0, engine
+            stats = svc.stats()
+            assert stats.errors == 1 and stats.completed == 1, engine
+            assert stats.errors_by_kind == {"infeasible": 1}, engine
 
     def test_batch_falls_back_on_poisoned_member(self, rng):
         """An infeasible batch-mate must not take down the others."""
@@ -411,13 +415,31 @@ class TestService:
         assert not responses[bid].ok
 
     def test_sparse_engine_matches_dense(self, rng):
-        p = random_fixed_problem(rng, 6, 6, density=0.5)
-        with SolveService() as svc:
-            dense = svc.solve(p, eps=1e-8, max_iterations=5000)
-            sparse = svc.solve(p, eps=1e-8, max_iterations=5000,
-                               engine="sparse")
-        assert sparse.kind == "fixed/sparse"
-        np.testing.assert_allclose(sparse.result.x, dense.result.x, atol=1e-6)
+        """Both engines run one rule set: under every criterion, each
+        kind stops at the same sweep with the same answer."""
+        problems = {
+            "fixed": random_fixed_problem(rng, 6, 6, density=0.5),
+            "elastic": masked_elastic_problem(rng, 7, 6),
+            "sam": masked_sam_problem(rng, 6),
+        }
+        # No warm starts: each pair must start from the same point.
+        with SolveService(warm_start=False) as svc:
+            for kind, p in problems.items():
+                for criterion in ("delta-x", "imbalance", "dual-gradient"):
+                    label = f"{kind}/{criterion}"
+                    options = dict(eps=1e-8, criterion=criterion,
+                                   max_iterations=5000)
+                    dense = svc.solve(p, **options)
+                    sparse = svc.solve(p, engine="sparse", **options)
+                    assert sparse.kind == f"{kind}/sparse"
+                    assert dense.converged, label
+                    assert (sparse.result.iterations, sparse.converged) == (
+                        dense.result.iterations, dense.converged
+                    ), label
+                    np.testing.assert_allclose(
+                        sparse.result.x, dense.result.x, atol=1e-6,
+                        err_msg=label,
+                    )
 
     def test_usable_after_close(self, rng):
         svc = SolveService(workers=2, backend="thread")

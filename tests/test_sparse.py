@@ -13,6 +13,7 @@ from repro.equilibration.scalar import (
     evaluate_piecewise_linear,
     solve_piecewise_linear_scalar,
 )
+from repro.errors import InfeasibleProblemError
 from repro.sparse.kernel import _segment_cumsum, solve_piecewise_linear_sparse
 from repro.sparse.sea import solve_fixed_sparse
 from repro.sparse.structure import SparsePattern
@@ -109,7 +110,7 @@ class TestSparseKernel:
         assert lam.shape == (3,)
 
     def test_empty_row_positive_target_rejected(self):
-        with pytest.raises(ValueError, match="empty fixed row"):
+        with pytest.raises(InfeasibleProblemError, match="no active cell"):
             solve_piecewise_linear_sparse(
                 np.array([0]), np.array([1.0]), np.array([1.0]),
                 2, np.array([1.0, 1.0]),

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import random_elastic_problem, random_fixed_problem, random_sam_problem
+from conftest import (
+    masked_elastic_problem,
+    masked_sam_problem,
+    random_fixed_problem,
+    random_sam_problem,
+)
 from repro.core.convergence import StoppingRule
-from repro.core.problems import ElasticProblem, FixedTotalsProblem, SAMProblem
+from repro.core.problems import FixedTotalsProblem
 from repro.core.sea import solve_elastic, solve_sam
 from repro.feasibility import assert_feasible, certify_feasible, max_flow_bipartite
 from repro.sparse.sea import solve_elastic_sparse, solve_sam_sparse
@@ -13,20 +18,9 @@ from repro.sparse.sea import solve_elastic_sparse, solve_sam_sparse
 TIGHT = StoppingRule(eps=1e-8, max_iterations=20_000)
 
 
-def _masked_elastic(rng, m, n, density=0.5):
-    base = random_elastic_problem(rng, m, n)
-    mask = rng.random((m, n)) < density
-    mask[:, 0] = True
-    mask[0, :] = True
-    return ElasticProblem(
-        x0=base.x0, gamma=base.gamma, s0=base.s0, d0=base.d0,
-        alpha=base.alpha, beta=base.beta, mask=mask,
-    )
-
-
 class TestSparseElastic:
     def test_agrees_with_dense(self, rng):
-        problem = _masked_elastic(rng, 15, 12)
+        problem = masked_elastic_problem(rng, 15, 12)
         dense = solve_elastic(problem, stop=TIGHT)
         sparse = solve_elastic_sparse(problem, stop=TIGHT)
         np.testing.assert_allclose(
@@ -49,15 +43,7 @@ class TestSparseElastic:
 
 class TestSparseSAM:
     def test_agrees_with_dense(self, rng):
-        base = random_sam_problem(rng, 10)
-        mask = rng.random((10, 10)) < 0.6
-        np.fill_diagonal(mask, False)
-        mask[np.arange(10), (np.arange(10) + 1) % 10] = True
-        mask[(np.arange(10) + 1) % 10, np.arange(10)] = True
-        problem = SAMProblem(
-            x0=np.where(mask, base.x0, 0.0), gamma=base.gamma,
-            s0=base.s0, alpha=base.alpha, mask=mask,
-        )
+        problem = masked_sam_problem(rng, 10)
         stop = StoppingRule(eps=1e-9, criterion="imbalance",
                             max_iterations=20_000)
         dense = solve_sam(problem, stop=stop)
