@@ -2,11 +2,14 @@
 """Sweep-workspace performance trajectory → ``BENCH_sweeps.json``.
 
 Measures, for each (kind, size) on the calibrated gravity-model
-instance family, a *cold* solve (plain :func:`solve_piecewise_linear`
-callable, so the drivers skip workspaces entirely) against a *warm*
+instance family, a *cold* solve (a kernel that ignores the driver's
+workspace, so every sweep runs the cold argsort path) against a *warm*
 solve (driver-managed :class:`SweepWorkspace` pair with sort-permutation
-reuse), and a warm-service-traffic block (workspace-aware service vs an
-identical service whose kernel cannot accept workspaces).
+reuse), and a warm-service-traffic block (workspace kernel vs an
+identical service whose kernel ignores the workspaces it is handed).
+Both cold baselines still run inside drivers that own a workspace
+pair, so they share its breakpoint-shift and primal-recovery buffers
+and isolate the kernel's own workspace fast path.
 
 Why this instance family: balanced Table-1 style instances converge in
 two sweeps at any tolerance, which leaves no settled tail for the
@@ -72,8 +75,8 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 STOP = StoppingRule(eps=1e-4, criterion="delta-x", max_iterations=5000)
 
 
-def cold_kernel(b, s, t, a=None, c=None):
-    """Kernel without the workspace kwarg: drivers skip workspaces."""
+def cold_kernel(b, s, t, a=None, c=None, workspace=None):
+    """The cold kernel: ignores the driver's workspace on every sweep."""
     return solve_piecewise_linear(b, s, t, a=a, c=c)
 
 
@@ -173,7 +176,8 @@ def bench_allocations(kind: str, n: int) -> dict:
     Measured separately from the timing passes: tracemalloc slows the
     interpreter, so these numbers never enter the speedup columns.  The
     warm pass pre-builds its workspace pair — the point is steady-state
-    per-sweep allocation, not one-time buffer setup.
+    per-sweep allocation, not one-time buffer setup.  The cold pass's
+    peak includes the fresh pair its driver builds.
     """
     mk, solver = KINDS[kind]
     problem = mk(n)
@@ -199,10 +203,8 @@ def bench_allocations(kind: str, n: int) -> dict:
 
 
 class _WorkspaceKernel:
-    """In-process kernel that advertises workspace capability, so the
-    service threads its persistent pairs and cached permutations."""
-
-    accepts_workspace = True
+    """In-process kernel that sweeps on the service's persistent pairs
+    and their cached permutations."""
 
     def __call__(self, breakpoints, slopes, target, a=None, c=None,
                  timeout=None, workspace=None):
@@ -212,16 +214,17 @@ class _WorkspaceKernel:
 
 
 class _NoWorkspaceKernel:
-    """Baseline service kernel: same math, no workspace capability.
+    """Baseline service kernel: same math, ignores its workspace.
 
-    Lacking ``accepts_workspace``, the service never threads workspace
-    pairs or cached permutations through it, and the drivers fall back
-    to the allocating cold path — isolating exactly the workspace
-    layer's contribution to warm service traffic.
+    The service still hands it its persistent pairs (the driver shifts
+    breakpoints and recovers flows in their buffers), but every sweep
+    runs the cold kernel: no hoisted validation, no cached permutation.
+    This times the cold kernel inside a driver that owns a workspace,
+    isolating the kernel's workspace fast path on warm service traffic.
     """
 
     def __call__(self, breakpoints, slopes, target, a=None, c=None,
-                 timeout=None):
+                 timeout=None, workspace=None):
         return solve_piecewise_linear(breakpoints, slopes, target, a=a, c=c)
 
 

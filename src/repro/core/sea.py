@@ -48,28 +48,17 @@ import numpy as np
 from repro.core.convergence import StoppingRule
 from repro.core.problems import ElasticProblem, FixedTotalsProblem, SAMProblem
 from repro.core.result import PhaseCounts, SolveResult
-from repro.equilibration.exact import recover_flows, solve_piecewise_linear
+from repro.equilibration.exact import solve_piecewise_linear
 from repro.equilibration.workspace import SweepWorkspace
 
 __all__ = ["solve_fixed", "solve_elastic", "solve_sam", "variant_spec"]
 
+# The one kernel contract, that of ``solve_piecewise_linear``:
+# ``kernel(breakpoints, slopes, target, a=None, c=None, workspace=None)``
+# returns the ``(m,)`` row multipliers.  The drivers pass ``workspace=``
+# on every phase; a kernel may ignore it but must accept the keyword
+# (one without it raises ``TypeError`` on its first call).
 Kernel = Callable[..., np.ndarray]
-
-
-def _resolve_workspaces(workspaces, kernel, m, n):
-    """Pick the (row, column) workspace pair for a diagonal solve.
-
-    Explicitly passed workspaces always win (the service reuses pairs
-    across requests); otherwise the default vectorized kernel gets a
-    fresh pair, and custom kernels — which may not accept the
-    ``workspace`` keyword — run exactly as before.
-    """
-    if workspaces is not None:
-        row_ws, col_ws = workspaces
-        return row_ws, col_ws
-    if kernel is solve_piecewise_linear:
-        return SweepWorkspace(m, n), SweepWorkspace(n, m)
-    return None, None
 
 
 def _prepare(x0, gamma, mask):
@@ -266,11 +255,10 @@ def _run_diagonal(
 ) -> SolveResult:
     """One driver for all three diagonal variants (solo path).
 
-    With workspaces (the default kernel always gets a pair), the row and
-    column sweeps run the preallocated sort-permutation-caching fast
-    path: breakpoint shifts, kernel temporaries and primal recovery all
-    land in persistent buffers, and only out-of-order rows re-sort.
-    Results are bit-identical to the workspace-free path.
+    The row and column sweeps run on a ``(row, column)`` workspace pair
+    (``workspaces``, or a fresh one): breakpoint shifts and primal
+    recovery land in persistent buffers, and the kernel gets the pair's
+    workspace to run its sort-permutation-caching fast path on.
     """
     stop = stop or spec.default_stop()
     t0 = time.perf_counter()
@@ -278,7 +266,9 @@ def _run_diagonal(
     base, slopes = _prepare(problem.x0, problem.gamma, problem.mask)
     base_t, slopes_t = base.T.copy(), slopes.T.copy()
     data = spec.pack(problem)
-    row_ws, col_ws = _resolve_workspaces(workspaces, kernel, m, n)
+    if workspaces is None:
+        workspaces = (SweepWorkspace(m, n), SweepWorkspace(n, m))
+    row_ws, col_ws = workspaces
 
     mu = np.zeros(n) if mu0 is None else np.asarray(mu0, dtype=np.float64).copy()
     lam = np.zeros(m)
@@ -290,34 +280,25 @@ def _run_diagonal(
     x = x_prev
     # Double-buffered primal recovery: x and x_prev must be distinct
     # arrays for the delta-x residual, so recovery alternates buffers.
-    xbufs = (np.empty((n, m)), np.empty((n, m))) if col_ws is not None else None
+    xbufs = (np.empty((n, m)), np.empty((n, m)))
 
     for t in range(1, stop.max_iterations + 1):
         # Step 1: row equilibration — m independent subproblems.
         target_r, a_r, c_r = spec.row_terms(data, mu)
-        if row_ws is not None:
-            row_b = row_ws.shift(base, mu)
-            lam = kernel(row_b, slopes, target_r, a=a_r, c=c_r, workspace=row_ws)
-        else:
-            row_b = base - mu[None, :]
-            lam = kernel(row_b, slopes, target_r, a=a_r, c=c_r)
+        row_b = row_ws.shift(base, mu)
+        lam = kernel(row_b, slopes, target_r, a=a_r, c=c_r, workspace=row_ws)
         counts.add_equilibration(m, n)
 
         # Step 2: column equilibration — n independent subproblems,
         # plus vectorized primal recovery (eq. 23a / 40a).
         target_c, a_c, c_c = spec.col_terms(data, lam)
-        if col_ws is not None:
-            col_b = col_ws.shift(base_t, lam)
-            mu = kernel(col_b, slopes_t, target_c, a=a_c, c=c_c, workspace=col_ws)
-            xt = xbufs[t % 2]
-            np.subtract(mu[:, None], col_b, out=xt)
-            np.maximum(xt, 0.0, out=xt)
-            np.multiply(xt, slopes_t, out=xt)
-            x = xt.T
-        else:
-            col_b = base_t - lam[None, :]
-            mu = kernel(col_b, slopes_t, target_c, a=a_c, c=c_c)
-            x = recover_flows(mu, col_b, slopes_t).T
+        col_b = col_ws.shift(base_t, lam)
+        mu = kernel(col_b, slopes_t, target_c, a=a_c, c=c_c, workspace=col_ws)
+        xt = xbufs[t % 2]
+        np.subtract(mu[:, None], col_b, out=xt)
+        np.maximum(xt, 0.0, out=xt)
+        np.multiply(xt, slopes_t, out=xt)
+        x = xt.T
         counts.add_equilibration(n, m)
 
         # Step 3: convergence verification (the serial phase).
@@ -371,10 +352,16 @@ def solve_fixed(
     mu0:
         Initial column multipliers (Step 0 sets ``mu^1 = 0``).
     kernel:
-        Piecewise-linear solver; override to run subproblems on a worker
-        pool (see :mod:`repro.parallel.executor`).
+        Piecewise-linear solver meeting the :data:`Kernel` contract;
+        override to run subproblems on a worker pool (see
+        :mod:`repro.parallel.executor`).
     record_history:
         Keep the per-iteration residual trace in ``result.history``.
+    workspaces:
+        ``(row, column)`` :class:`~repro.equilibration.workspace.
+        SweepWorkspace` pair of shapes ``(m, n)`` and ``(n, m)`` to
+        sweep on, e.g. one the caller keeps across solves so cached
+        sort permutations carry over; a fresh pair by default.
     """
     return _run_diagonal(
         problem, _FixedVariant, stop, mu0, kernel, record_history, workspaces
@@ -394,7 +381,8 @@ def solve_elastic(
     Row step: minimize ``Theta_1 - sum_j mu_j (sum_i x_ij - d_j)`` over
     the row constraints; multipliers ``lam_i = 2 alpha_i (s0_i - S_i)``
     (eq. 29b) come straight out of the kernel.  Column step symmetric
-    with ``mu_j = 2 beta_j (d0_j - D_j)`` (eq. 30b).
+    with ``mu_j = 2 beta_j (d0_j - D_j)`` (eq. 30b).  ``kernel`` and
+    ``workspaces`` as for :func:`solve_fixed`.
     """
     return _run_diagonal(
         problem, _ElasticVariant, stop, mu0, kernel, record_history, workspaces
@@ -415,7 +403,8 @@ def solve_sam(
     account ``i`` satisfies ``S_i = s0_i - (lam_i + mu_i)/(2 alpha_i)``
     (eq. 40b), so each row subproblem's elastic offset carries the
     *current* ``mu_i`` and vice versa.  Default stopping rule is the
-    paper's relative row imbalance at ``eps' = .001``.
+    paper's relative row imbalance at ``eps' = .001``.  ``kernel`` and
+    ``workspaces`` as for :func:`solve_fixed`.
     """
     return _run_diagonal(
         problem, _SAMVariant, stop, mu0, kernel, record_history, workspaces

@@ -83,20 +83,20 @@ def solve_general(
         as the diagonal ones.
     kernel:
         Piecewise-linear kernel forwarded to diagonal SEA (lets the
-        parallel executor drive the inner row/column sweeps).
+        parallel executor drive the inner row/column sweeps); it meets
+        the :data:`repro.core.sea.Kernel` contract.
     workspaces:
-        Optional ``(row, column)`` :class:`~repro.equilibration.
-        workspace.SweepWorkspace` pair shared by *every* projection
-        step's inner diagonal solve.  ``gamma`` (hence the kernel's
-        slopes) is constant across projections, so the workspaces'
-        content-equality bind keeps the cached sort permutations alive
-        from one projection to the next; by default a pair is created
-        here whenever the inner solves would use one anyway.
+        ``(row, column)`` :class:`~repro.equilibration.workspace.
+        SweepWorkspace` pair shared by *every* projection step's inner
+        diagonal solve; a fresh pair by default.  ``gamma`` (hence the
+        kernel's slopes) is constant across projections, so the
+        workspaces' content-equality bind keeps the cached sort
+        permutations alive from one projection to the next.
     """
     stop = stop or default_stop()
     t0 = time.perf_counter()
     m, n = problem.shape
-    if workspaces is None and kernel is solve_piecewise_linear:
+    if workspaces is None:
         workspaces = (SweepWorkspace(m, n), SweepWorkspace(n, m))
     mask = problem.mask
     gamma_diag = np.diag(problem.G).reshape(m, n)

@@ -33,7 +33,8 @@ Resolution happens when a
 so every layer that builds workspaces — the solo drivers,
 ``sea_general``, ``solve_batch``, the sparse kernel, the parallel
 kernels' per-block caches and ``SolveService`` — picks the backend up
-through the existing ``accepts_workspace`` seam with no API change.
+through the ``workspace=`` keyword every kernel call carries, with no
+API change.
 
 Bit-identity contract
 ---------------------

@@ -20,13 +20,15 @@ Hot-loop variant
 ----------------
 SEA calls this kernel once per row phase and once per column phase,
 *every sweep*, with the same slopes and only the breakpoints shifting
-by the opposite multipliers.  The ``workspace`` argument accepts a
-:class:`repro.equilibration.workspace.SweepWorkspace` that hoists the
-per-call validation, preallocates every ``(m, n)`` temporary, and reuses
-the previous sweep's sort permutation — see that module for the
-bit-identity argument.  Without a workspace the kernel behaves exactly
-as before (cold path); the two paths share the segment-selection tail
-below, so they cannot drift apart.
+by the opposite multipliers.  The diagonal drivers therefore always
+pass a :class:`repro.equilibration.workspace.SweepWorkspace` that
+hoists the per-call validation, preallocates every ``(m, n)``
+temporary, and reuses the previous sweep's sort permutation — see that
+module for the bit-identity argument.  Called without one, the kernel
+runs the cold path: the reference the tests compare against, and the
+pool kernel's fallback when two dispatches want the same block
+workspace.  The two paths share the segment-selection tail below, so
+they cannot drift apart.
 """
 
 from __future__ import annotations
@@ -147,7 +149,12 @@ def solve_piecewise_linear(
         Optional :class:`~repro.equilibration.workspace.SweepWorkspace`
         bound (or bindable) to ``slopes``: runs the preallocated,
         sort-permutation-caching fast path.  Results are bit-identical
-        to the cold path.
+        to the cold path (``workspace=None``).
+
+    This signature is the kernel contract of every diagonal driver
+    (:data:`repro.core.sea.Kernel`): they pass ``workspace=`` on every
+    phase, and a substitute kernel may ignore it but must accept the
+    keyword (one without it raises :class:`TypeError` on first call).
 
     Returns
     -------
@@ -213,7 +220,6 @@ def equilibrate_rows(
     a: np.ndarray | None = None,
     c: np.ndarray | None = None,
     mask: np.ndarray | None = None,
-    workspace=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run one exact row-equilibration phase for all rows at once.
 
@@ -236,12 +242,6 @@ def equilibrate_rows(
     mask:
         Optional ``(m, n)`` boolean; ``False`` cells are pinned to zero
         (structural zeros of sparse tables).
-    workspace:
-        Optional :class:`~repro.equilibration.workspace.SweepWorkspace`.
-        When the same ``(x0, gamma, mask)`` objects are passed on every
-        call (the sweep-loop pattern), the gamma validation and the
-        breakpoint/slope construction are hoisted out of the loop and
-        the kernel runs its zero-allocation fast path.
 
     Returns
     -------
@@ -249,16 +249,6 @@ def equilibrate_rows(
         ``(m,)`` multipliers and the ``(m, n)`` equilibrated flows.
     """
     mu = np.asarray(opposite_multipliers, dtype=np.float64)
-
-    if workspace is not None:
-        base, slopes = workspace.equilibrate_prep(x0, gamma, mask)
-        breakpoints = workspace.shift(base, mu)
-        lam = solve_piecewise_linear(
-            breakpoints, slopes, target, a=a, c=c, workspace=workspace
-        )
-        X = recover_flows(lam, breakpoints, slopes)
-        return lam, X
-
     x0 = np.asarray(x0, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
     if mask is None:

@@ -142,7 +142,6 @@ class SweepWorkspace:
         self._counts = np.empty(self.m, dtype=np.intp)
         self._has_inactive = True
         self._zeros = np.zeros(self.m)
-        self._eq_prep = None  # (x0, gamma, mask, base, slopes) of equilibrate_rows
         # Counters.
         self.sweeps = 0
         self.rows_reused = 0
@@ -171,10 +170,6 @@ class SweepWorkspace:
         """Fraction of row-sorts answered by the cached permutation."""
         total = self.rows_reused + self.rows_resorted
         return self.rows_reused / total if total else 0.0
-
-    def counters(self) -> tuple[int, int, int]:
-        """``(sweeps, rows_reused, rows_resorted)`` snapshot."""
-        return (self.sweeps, self.rows_reused, self.rows_resorted)
 
     def counters_extended(self) -> dict:
         """All counters plus the backend name.
@@ -255,12 +250,7 @@ class SweepWorkspace:
             and SL.shape == self._slopes.shape
             and np.array_equal(SL, self._slopes)
         ):
-            self._slopes_ref = slopes
-            self._slopes = SL
-            self._slopes_flat = (
-                SL.reshape(-1) if SL.flags.c_contiguous
-                else np.ascontiguousarray(SL).reshape(-1)
-            )
+            self._adopt(slopes, SL)
             return
         if np.any(SL < 0.0):
             raise ValueError("slopes must be nonnegative")
@@ -269,12 +259,7 @@ class SweepWorkspace:
             self._seeded and self._order_valid and r == self._rows
         )
         self._rows = r
-        self._slopes_ref = slopes
-        self._slopes = SL
-        self._slopes_flat = (
-            SL.reshape(-1) if SL.flags.c_contiguous
-            else np.ascontiguousarray(SL).reshape(-1)
-        )
+        self._adopt(slopes, SL)
         np.greater(SL, 0.0, out=self._active[:r])
         np.logical_not(self._active[:r], out=self._inactive[:r])
         self._has_inactive = bool(self._inactive[:r].any())
@@ -289,18 +274,22 @@ class SweepWorkspace:
         self._seeded = False
         self.binds += 1
 
-    def retain(self, keep: np.ndarray, slopes: np.ndarray | None = None) -> None:
+    def retain(self, keep: np.ndarray) -> None:
         """Keep only the rows ``keep`` (sorted ascending) of the binding.
 
         Used by the batch engine when problems retire: the cached
-        permutation, active mask, counts and permuted slopes of the
-        surviving rows are gathered in place, so no re-validation or
-        re-sort is paid.  ``slopes``, when given, is adopted as the new
-        bound reference — the caller guarantees it equals the retained
-        rows of the previous binding (the batch engine restacks the
-        same per-problem slope blocks).
+        permutation, active mask, counts, slopes and permuted slopes of
+        the surviving rows are gathered in place, so no re-validation or
+        re-sort is paid.  The kept slopes are a copy and the bound
+        object is forgotten, so the next :meth:`bind` accepts the
+        caller's restacked survivors by content, or re-validates them if
+        the binding was another stack's (a pool kernel that split every
+        phase into blocks never bound it).  A workspace with no binding
+        that covers ``keep`` has nothing to retain.
         """
         keep = np.asarray(keep, dtype=np.intp)
+        if self._slopes is None or (keep.size and keep[-1] >= self._rows):
+            return
         r = keep.size
         self._order[:r] = self._order[keep]
         self._ord_incr[:r] = self._ord_incr[keep]
@@ -311,14 +300,16 @@ class SweepWorkspace:
         np.add(self._order[:r], self._offsets[:r], out=self._flat_idx[:r])
         self._rows = r
         self._has_inactive = bool(self._inactive[:r].any())
-        if slopes is not None:
-            SL = np.asarray(slopes, dtype=np.float64)
-            self._slopes_ref = slopes
-            self._slopes = SL
-            self._slopes_flat = (
-                SL.reshape(-1) if SL.flags.c_contiguous
-                else np.ascontiguousarray(SL).reshape(-1)
-            )
+        self._adopt(None, self._slopes[keep])
+
+    def _adopt(self, ref, SL: np.ndarray) -> None:
+        """Record ``SL`` (float64) as the bound slopes of object ``ref``."""
+        self._slopes_ref = ref
+        self._slopes = SL
+        self._slopes_flat = (
+            SL.reshape(-1) if SL.flags.c_contiguous
+            else np.ascontiguousarray(SL).reshape(-1)
+        )
 
     # -- driver helpers -----------------------------------------------------
 
@@ -340,37 +331,7 @@ class SweepWorkspace:
         np.subtract(base3, opposite2[:, None, :], out=view)
         return view.reshape(k * mm, nn)
 
-    def equilibrate_prep(self, x0, gamma, mask):
-        """Cached ``(base, slopes)`` for :func:`~repro.equilibration.
-        exact.equilibrate_rows` — validation and construction run only
-        when the ``(x0, gamma, mask)`` objects change."""
-        prep = self._eq_prep
-        if (
-            prep is not None
-            and prep[0] is x0 and prep[1] is gamma and prep[2] is mask
-        ):
-            return prep[3], prep[4]
-        x0_arr = np.asarray(x0, dtype=np.float64)
-        gamma_arr = np.asarray(gamma, dtype=np.float64)
-        if mask is None:
-            active = np.ones(x0_arr.shape, dtype=bool)
-        else:
-            active = np.asarray(mask, dtype=bool)
-        if np.amin(gamma_arr, where=active, initial=np.inf) <= 0.0:
-            raise ValueError("gamma must be strictly positive on active cells")
-        gamma_safe = np.where(active, gamma_arr, 1.0)
-        x0_safe = np.where(active, x0_arr, 0.0)
-        slopes = np.where(active, 1.0 / (2.0 * gamma_safe), 0.0)
-        base = np.where(active, -2.0 * gamma_safe * x0_safe, 0.0)
-        self._eq_prep = (x0, gamma, mask, base, slopes)
-        return base, slopes
-
     # -- the kernel fast path -----------------------------------------------
-
-    def kernel(self, breakpoints, slopes, target, a=None, c=None):
-        """Drop-in :data:`~repro.core.sea.Kernel` signature."""
-        self.bind(slopes)
-        return self.solve(breakpoints, target, a=a, c=c)
 
     def solve(
         self,

@@ -172,11 +172,6 @@ class ParallelKernel:
             result = solve_fixed(problem, kernel=kernel)
     """
 
-    # Capability flag: the service only threads SweepWorkspace pairs
-    # through kernels that declare they accept the ``workspace=`` kwarg
-    # (unknown kernels keep the plain five-argument call).
-    accepts_workspace = True
-
     def __init__(
         self,
         workers: int,

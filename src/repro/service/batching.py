@@ -45,7 +45,7 @@ def _ravel(v: np.ndarray | None) -> np.ndarray | None:
     return None if v is None else v.reshape(-1)
 
 
-def _shrink_workspace(ws, act_prev, act, blk, slopes_new):
+def _shrink_workspace(ws, act_prev, act, blk):
     """Retain the surviving problems' rows of a stacked workspace.
 
     ``act`` is a subset of ``act_prev`` (retirement only removes);
@@ -54,7 +54,7 @@ def _shrink_workspace(ws, act_prev, act, blk, slopes_new):
     """
     pos = np.searchsorted(act_prev, act)
     keep = (pos[:, None] * blk + np.arange(blk)).ravel()
-    ws.retain(keep, slopes=slopes_new)
+    ws.retain(keep)
 
 
 def solve_batch(
@@ -81,17 +81,18 @@ def solve_batch(
     mu0s:
         Optional per-problem warm starts, aligned with ``problems``.
     kernel:
-        Piecewise-linear solver; stacked phases go through it in one
-        call, so a :class:`~repro.parallel.executor.ParallelKernel`
-        splits the fused fan-out across its workers.
+        Piecewise-linear solver meeting the :data:`repro.core.sea.Kernel`
+        contract; stacked phases go through it in one call, so a
+        :class:`~repro.parallel.executor.ParallelKernel` splits the
+        fused fan-out across its workers.
     workspaces:
-        Optional ``(row, column)`` :class:`~repro.equilibration.
-        workspace.SweepWorkspace` pair with row capacities ``k*m`` and
-        ``k*n`` (e.g. retained by the service per kind+shape group).
-        The default kernel gets a fresh pair automatically: the whole
-        batch then shares one persistent buffer set per phase, and the
-        cached sort permutations survive problem retirements via
-        :meth:`~repro.equilibration.workspace.SweepWorkspace.retain`.
+        ``(row, column)`` :class:`~repro.equilibration.workspace.
+        SweepWorkspace` pair with row capacities ``k*m`` and ``k*n``
+        (e.g. retained by the service per kind+shape group); a fresh
+        pair by default.  The whole batch shares one persistent buffer
+        set per phase, and the cached sort permutations survive problem
+        retirements via :meth:`~repro.equilibration.workspace.
+        SweepWorkspace.retain`.
 
     Returns
     -------
@@ -143,20 +144,16 @@ def solve_batch(
     results: list[SolveResult | None] = [None] * k
     active = np.arange(k)
 
-    row_ws = col_ws = None
-    if workspaces is not None:
-        row_ws, col_ws = workspaces
-    elif kernel is solve_piecewise_linear:
-        row_ws = SweepWorkspace(k * m, n)
-        col_ws = SweepWorkspace(k * n, m)
-    if row_ws is not None:
-        # Gathered per-active-set stacks: plain views of the full stacks
-        # while every problem is live (zero copies per sweep), regathered
-        # once per retirement instead of once per iteration.
-        g_base, g_base_t = base, base_t
-        g_row_slopes = slopes.reshape(k * m, n)
-        g_col_slopes = slopes_t.reshape(k * n, m)
-        xbuf = np.empty((k * n, m))
+    if workspaces is None:
+        workspaces = (SweepWorkspace(k * m, n), SweepWorkspace(k * n, m))
+    row_ws, col_ws = workspaces
+    # Gathered per-active-set stacks: plain views of the full stacks
+    # while every problem is live (zero copies per sweep), regathered
+    # once per retirement instead of once per iteration.
+    g_base, g_base_t = base, base_t
+    g_row_slopes = slopes.reshape(k * m, n)
+    g_col_slopes = slopes_t.reshape(k * n, m)
+    xbuf = np.empty((k * n, m))
 
     def _row(i: int) -> dict:
         return {key: v[i] for key, v in data.items()}
@@ -198,42 +195,25 @@ def solve_batch(
 
         # Fused row phase: one kernel call over a*m subproblems.
         target_r, a_r, c_r = spec.row_terms(sub, mu[active])
-        if row_ws is not None:
-            row_b = row_ws.shift_stack(g_base, mu[active])
-            lam[active] = kernel(
-                row_b, g_row_slopes, _ravel(target_r),
-                a=_ravel(a_r), c=_ravel(c_r), workspace=row_ws,
-            ).reshape(a, m)
-        else:
-            row_b = (base[active] - mu[active, None, :]).reshape(a * m, n)
-            lam[active] = kernel(
-                row_b, slopes[active].reshape(a * m, n), _ravel(target_r),
-                a=_ravel(a_r), c=_ravel(c_r),
-            ).reshape(a, m)
+        row_b = row_ws.shift_stack(g_base, mu[active])
+        lam[active] = kernel(
+            row_b, g_row_slopes, _ravel(target_r),
+            a=_ravel(a_r), c=_ravel(c_r), workspace=row_ws,
+        ).reshape(a, m)
 
         # Fused column phase plus vectorized primal recovery (eq. 23a).
         target_c, a_c, c_c = spec.col_terms(sub, lam[active])
-        if col_ws is not None:
-            col_b = col_ws.shift_stack(g_base_t, lam[active])
-            col_sl = g_col_slopes
-            mu_flat = kernel(
-                col_b, col_sl, _ravel(target_c), a=_ravel(a_c),
-                c=_ravel(c_c), workspace=col_ws,
-            )
-            xv = xbuf[: a * n]
-            np.subtract(mu_flat[:, None], col_b, out=xv)
-            np.maximum(xv, 0.0, out=xv)
-            np.multiply(xv, col_sl, out=xv)
-            x_new = xv
-        else:
-            col_b = (base_t[active] - lam[active, None, :]).reshape(a * n, m)
-            col_sl = slopes_t[active].reshape(a * n, m)
-            mu_flat = kernel(
-                col_b, col_sl, _ravel(target_c), a=_ravel(a_c), c=_ravel(c_c)
-            )
-            x_new = col_sl * np.maximum(mu_flat[:, None] - col_b, 0.0)
+        col_b = col_ws.shift_stack(g_base_t, lam[active])
+        mu_flat = kernel(
+            col_b, g_col_slopes, _ravel(target_c), a=_ravel(a_c),
+            c=_ravel(c_c), workspace=col_ws,
+        )
+        xv = xbuf[: a * n]
+        np.subtract(mu_flat[:, None], col_b, out=xv)
+        np.maximum(xv, 0.0, out=xv)
+        np.multiply(xv, g_col_slopes, out=xv)
         mu[active] = mu_flat.reshape(a, n)
-        x[active] = x_new.reshape(a, n, m).transpose(0, 2, 1)
+        x[active] = xv.reshape(a, n, m).transpose(0, 2, 1)
 
         # Serial phase: per-problem convergence check and retirement.
         if stop.due(t):
@@ -252,19 +232,15 @@ def solve_batch(
                 for i in retired:
                     _finalize(i, converged=True)
                 survivors = active[residual[active] > stop.eps]
-                if row_ws is not None and survivors.size:
+                if survivors.size:
                     # Regather the stacks once per retirement and keep
                     # the survivors' cached permutations (no re-sort).
                     g_base = np.ascontiguousarray(base[survivors])
                     g_base_t = np.ascontiguousarray(base_t[survivors])
                     g_row_slopes = slopes[survivors].reshape(-1, n)
                     g_col_slopes = slopes_t[survivors].reshape(-1, m)
-                    _shrink_workspace(
-                        row_ws, active, survivors, m, g_row_slopes
-                    )
-                    _shrink_workspace(
-                        col_ws, active, survivors, n, g_col_slopes
-                    )
+                    _shrink_workspace(row_ws, active, survivors, m)
+                    _shrink_workspace(col_ws, active, survivors, n)
                 active = survivors
         x_prev[active] = x[active]
         if active.size == 0:

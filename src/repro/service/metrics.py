@@ -44,8 +44,9 @@ class ServiceStats:
     sweeps, ``sort_rows_reused`` / ``sort_rows_resorted`` count per-row
     permutation outcomes, summed at snapshot time over the shared
     kernel's per-block workspaces *and* the service-owned workspace
-    pairs (disjoint sources: a kernel never counts a caller-provided
-    workspace).  :attr:`sort_reuse_rate` is their ratio.
+    pairs, live or evicted (disjoint sources: a kernel never counts a
+    caller-provided workspace), so they never decrease.
+    :attr:`sort_reuse_rate` is their ratio.
     ``sort_full_resorts`` counts sweeps that paid a full
     ``O(mn log n)`` argsort, and ``backend_solves`` buckets
     workspace-backed solves by kernel backend name

@@ -118,6 +118,20 @@ _CORE_KINDS = (FixedTotalsProblem, ElasticProblem, SAMProblem, GeneralProblem)
 _BATCH_KINDS = (FixedTotalsProblem, ElasticProblem, SAMProblem)
 
 
+# SweepWorkspace counters summed into the ``sort_*`` service stats.
+_SORT_COUNTERS = ("sweeps", "rows_reused", "rows_resorted", "full_resorts")
+
+
+def _add_sort_counters(totals: dict, backend_solves: dict, pair) -> None:
+    """Add one workspace pair's sort counters into running totals."""
+    for ws in pair:
+        ext = ws.counters_extended()
+        for key in _SORT_COUNTERS:
+            totals[key] += ext[key]
+        name = ext["backend"]
+        backend_solves[name] = backend_solves.get(name, 0) + ext["sweeps"]
+
+
 def _stop_key(stop) -> tuple | None:
     if stop is None:
         return None
@@ -137,10 +151,6 @@ class _DeadlineKernel:
     def __init__(self, kernel, deadline: float) -> None:
         self._kernel = kernel
         self._deadline = deadline
-        # Reflect the wrapped kernel's workspace capability so drivers
-        # (and the service's workspace-pair plumbing) treat the deadline
-        # view exactly like the kernel it wraps.
-        self.accepts_workspace = getattr(kernel, "accepts_workspace", False)
 
     def __call__(
         self, breakpoints, slopes, target, a=None, c=None, workspace=None
@@ -150,13 +160,9 @@ class _DeadlineKernel:
             raise DeadlineExceededError(
                 "request deadline exceeded between kernel dispatches"
             )
-        if self.accepts_workspace:
-            return self._kernel(
-                breakpoints, slopes, target, a=a, c=c, timeout=remaining,
-                workspace=workspace,
-            )
         return self._kernel(
-            breakpoints, slopes, target, a=a, c=c, timeout=remaining
+            breakpoints, slopes, target, a=a, c=c, timeout=remaining,
+            workspace=workspace,
         )
 
 
@@ -201,7 +207,10 @@ class SolveService:
     kernel:
         Pre-built kernel to use instead of constructing one from
         ``workers``/``backend`` — the hook the fault-injection harness
-        (:mod:`repro.service.faults`) uses to wrap the pool.
+        (:mod:`repro.service.faults`) uses to wrap the pool.  It meets
+        the :data:`repro.core.sea.Kernel` contract and, for requests
+        with a deadline, also takes the dispatch ``timeout=`` in
+        seconds.
     journal, fsync:
         Write-ahead journal path (or a pre-built
         :class:`~repro.service.journal.Journal`) and its fsync
@@ -309,6 +318,10 @@ class SolveService:
         # only costs the next solve one cold sort.
         self._workspaces: OrderedDict[tuple, tuple] = OrderedDict()
         self._workspaces_max = 8
+        # Counters of the pairs evicted so far, kept so that stats()
+        # totals never go backwards.
+        self._evicted_sort = dict.fromkeys(_SORT_COUNTERS, 0)
+        self._evicted_solves: dict[str, int] = {}
 
     # -- job intake ---------------------------------------------------------
 
@@ -642,17 +655,18 @@ class SolveService:
 
     def _workspace_pair(self, key: tuple, m: int, n: int, k: int = 1):
         """Get or create the LRU'd ``(row, column)`` workspace pair for
-        a kind+shape(+batch size) group; ``None`` when the shared kernel
-        does not understand the ``workspace=`` kwarg (unknown test
-        doubles keep the plain five-argument call)."""
-        if not getattr(self.kernel, "accepts_workspace", False):
-            return None
+        a kind+shape(+batch size) group.  An evicted pair's counters
+        move into the service's running totals, so the sort counters in
+        :meth:`stats` never go backwards."""
         pair = self._workspaces.get(key)
         if pair is not None:
             self._workspaces.move_to_end(key)
             return pair
         while len(self._workspaces) >= self._workspaces_max:
-            self._workspaces.popitem(last=False)
+            _, evicted = self._workspaces.popitem(last=False)
+            _add_sort_counters(
+                self._evicted_sort, self._evicted_solves, evicted
+            )
         pair = (SweepWorkspace(k * m, n), SweepWorkspace(k * n, m))
         self._workspaces[key] = pair
         return pair
@@ -660,12 +674,9 @@ class SolveService:
     def _workspaces_for(self, req: SolveRequest, perms):
         """Workspace pair for one dense single dispatch, seeded from the
         cache's stored permutations when available."""
-        shape = getattr(req.problem, "shape", None)
-        if shape is None:
-            return None
-        m, n = shape
-        pair = self._workspace_pair((self._kind_tag(req), shape, 1), m, n)
-        if pair is not None and perms is not None:
+        shape = req.problem.shape
+        pair = self._workspace_pair((self._kind_tag(req), shape, 1), *shape)
+        if perms is not None:
             for ws, perm in zip(pair, perms):
                 if perm is None:
                     continue
@@ -856,12 +867,10 @@ class SolveService:
             return solver(problem, stop=stop)
         if type(problem) in _CORE_KINDS:
             stop = resolve_stop(req, problem_kind(problem))
-            if workspaces is not None:
-                return solve(
-                    problem, stop=stop, mu0=mu0, kernel=kernel,
-                    workspaces=workspaces,
-                )
-            return solve(problem, stop=stop, mu0=mu0, kernel=kernel)
+            return solve(
+                problem, stop=stop, mu0=mu0, kernel=kernel,
+                workspaces=workspaces,
+            )
         kwargs = {}
         stop = resolve_stop(req, "")
         if stop is not None:
@@ -949,30 +958,22 @@ class SolveService:
         self._stats.degraded_dispatches = getattr(
             self.kernel, "degraded_dispatches", 0
         )
-        # Sort-reuse counters come from two disjoint sources: the shared
-        # kernel's per-block workspaces (multi-block dispatches) and the
+        # Sort-reuse counters come from disjoint sources: the shared
+        # kernel's per-block workspaces (multi-block dispatches), the
         # service-owned pairs (handed to the drivers, which the kernel by
-        # contract never counts) — so a plain sum never double-counts.
-        sweeps = getattr(self.kernel, "sort_sweeps", 0)
-        reused = getattr(self.kernel, "sort_rows_reused", 0)
-        resorted = getattr(self.kernel, "sort_rows_resorted", 0)
-        full_resorts = getattr(self.kernel, "sort_full_resorts", 0)
-        backend_solves = dict(getattr(self.kernel, "backend_solves", {}))
+        # contract never counts) and the pairs evicted so far — so a
+        # plain sum never double-counts.
+        totals = {
+            key: getattr(self.kernel, f"sort_{key}", 0) + evicted
+            for key, evicted in self._evicted_sort.items()
+        }
+        backend_solves = dict(self._evicted_solves)
+        for name, solves in getattr(self.kernel, "backend_solves", {}).items():
+            backend_solves[name] = backend_solves.get(name, 0) + solves
         for pair in self._workspaces.values():
-            for ws in pair:
-                ext = ws.counters_extended()
-                sweeps += ext["sweeps"]
-                reused += ext["rows_reused"]
-                resorted += ext["rows_resorted"]
-                full_resorts += ext["full_resorts"]
-                name = ext["backend"]
-                backend_solves[name] = (
-                    backend_solves.get(name, 0) + ext["sweeps"]
-                )
-        self._stats.sort_sweeps = sweeps
-        self._stats.sort_rows_reused = reused
-        self._stats.sort_rows_resorted = resorted
-        self._stats.sort_full_resorts = full_resorts
+            _add_sort_counters(totals, backend_solves, pair)
+        for key, value in totals.items():
+            setattr(self._stats, f"sort_{key}", value)
         self._stats.backend_solves = backend_solves
         if self._journal is not None:
             self._stats.journal_records = self._journal.appended

@@ -9,8 +9,10 @@ from conftest import (
     random_sam_problem,
 )
 from repro.core.convergence import StoppingRule
-from repro.core.problems import FixedTotalsProblem
+from repro.core.problems import ElasticProblem, FixedTotalsProblem
 from repro.core.sea import solve_elastic, solve_fixed, solve_sam
+from repro.equilibration.workspace import SweepWorkspace
+from repro.parallel.executor import ParallelKernel
 from repro.service import SolveService, solve_batch
 
 KINDS = {
@@ -73,6 +75,63 @@ class TestBatchBitIdentity:
         results[0].x[:] = -1.0
         results[0].mu[:] = -1.0
         np.testing.assert_array_equal(results[1].x, snapshot)
+
+
+def _retiring_pair(rng, kind, m, n):
+    """Two problems of one shape: the first starts at its optimum (its
+    totals are the base's margins), so it retires on sweep 1 while the
+    second, with scaled totals, keeps sweeping."""
+    x0 = rng.uniform(1.0, 5.0, (m, n))
+    gamma = rng.uniform(0.5, 2.0, (m, n))
+    problems = []
+    for scale in (1.0, 1.7):
+        s0, d0 = x0.sum(axis=1) * scale, x0.sum(axis=0) * scale
+        if kind == "fixed":
+            problems.append(FixedTotalsProblem(x0=x0, gamma=gamma, s0=s0, d0=d0))
+        else:
+            problems.append(ElasticProblem(
+                x0=x0, gamma=gamma, s0=s0, d0=d0,
+                alpha=np.ones(m), beta=np.ones(n),
+            ))
+    return problems
+
+
+class TestBatchRetirementWorkspaces:
+    """A pool kernel splits a multi-row phase into blocks and leaves the
+    batch's workspace pair alone, then solves on it once the survivors
+    fit one block.  Retirement must not pass off the pair's earlier
+    binding as the survivors' (it used to: a fixed survivor raised
+    InfeasibleProblemError, an elastic one converged to a wrong x)."""
+
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1)], ids=["1x6", "6x1"])
+    @pytest.mark.parametrize("kind", ["fixed", "elastic"])
+    def test_stale_workspaces_match_solo(self, rng, kind, shape):
+        m, n = shape
+        problems = _retiring_pair(rng, kind, m, n)
+        solo = solve_fixed if kind == "fixed" else solve_elastic
+        stop = StoppingRule(eps=1e-9, criterion="delta-x", max_iterations=500)
+        k = len(problems)
+        # Left bound to zero-slope stacks, as if by an earlier batch.
+        pair = (SweepWorkspace(k * m, n), SweepWorkspace(k * n, m))
+        pair[0].bind(np.zeros((k * m, n)))
+        pair[1].bind(np.zeros((k * n, m)))
+        with ParallelKernel(workers=2, backend="serial") as kernel:
+            # The second batch finds the pair bound to the first one's
+            # lone survivor, as when the service reuses a pair per kind,
+            # shape and batch size.
+            batches = [
+                solve_batch(problems, stop=stop, kernel=kernel,
+                            workspaces=pair)
+                for _ in range(2)
+            ]
+        refs = [solo(p, stop=stop) for p in problems]
+        assert refs[0].iterations < refs[1].iterations
+        for batch in batches:
+            for b, r in zip(batch, refs):
+                np.testing.assert_array_equal(b.x, r.x)
+                np.testing.assert_array_equal(b.lam, r.lam)
+                np.testing.assert_array_equal(b.mu, r.mu)
+                assert b.iterations == r.iterations
 
 
 class TestBatchValidation:

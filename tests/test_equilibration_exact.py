@@ -205,8 +205,8 @@ class TestWorkspaceBitIdentity:
     """
 
     @staticmethod
-    def _cold_kernel(b, s, t, a=None, c=None):
-        # No workspace kwarg -> drivers skip workspaces entirely.
+    def _cold_kernel(b, s, t, a=None, c=None, workspace=None):
+        # Ignores the driver's workspace: the cold path is the oracle.
         return solve_piecewise_linear(b, s, t, a=a, c=c)
 
     def _assert_same(self, cold, warm):

@@ -508,9 +508,7 @@ class TestServiceWorkspaces:
     """Persistent sweep workspaces and the warm-start perm round-trip."""
 
     class _WorkspaceKernel:
-        """In-process kernel advertising workspace capability."""
-
-        accepts_workspace = True
+        """In-process kernel that sweeps on the service's workspaces."""
 
         def __init__(self):
             from repro.equilibration.exact import solve_piecewise_linear
@@ -566,20 +564,25 @@ class TestServiceWorkspaces:
         assert "repro_sort_rows_skipped_total 0" in text
         assert "repro_backend_solves_total" in text
 
-    def test_unaware_kernel_gets_no_workspaces(self, rng):
-        """A kernel without accepts_workspace never sees the kwarg and
-        the service reports zero sort sweeps."""
-        from repro.equilibration.exact import solve_piecewise_linear
-
-        def plain_kernel(b, s, t, a=None, c=None, timeout=None):
-            return solve_piecewise_linear(b, s, t, a=a, c=c)
-
-        service = SolveService(kernel=plain_kernel, batching=False)
-        base = random_fixed_problem(rng, 8, 6)
-        assert service.solve(
-            SolveRequest(problem=base, batchable=False)
-        ).ok
-        assert service.stats().sort_sweeps == 0
+    def test_sort_counters_never_decrease(self, rng):
+        """The sort counters are Prometheus ``_total`` counters: a pair
+        evicted from the service's workspace LRU (8 pairs) keeps its
+        counts in the totals."""
+        keys = ("sort_sweeps", "sort_rows_reused", "sort_rows_resorted",
+                "sort_full_resorts")
+        previous = None
+        with SolveService(batching=False) as service:
+            for n in range(4, 16):  # 12 shapes: the last 4 evict
+                problem = random_fixed_problem(rng, n, n)
+                assert service.solve(problem, batchable=False).ok
+                stats = service.stats()
+                current = [getattr(stats, key) for key in keys]
+                current.append(sum(stats.backend_solves.values()))
+                if previous is not None:
+                    assert all(
+                        now >= before for now, before in zip(current, previous)
+                    ), (n, previous, current)
+                previous = current
 
     def test_batch_workspaces_bit_identical_to_serial(self, rng):
         """Fused batches over a retained k-stacked pair match the
@@ -595,7 +598,7 @@ class TestServiceWorkspaces:
         assert any(r.batched for r in responses.values())
         from repro.service.batching import solve_batch
 
-        def cold_kernel(b, s, t, a=None, c=None):
+        def cold_kernel(b, s, t, a=None, c=None, workspace=None):
             from repro.equilibration.exact import solve_piecewise_linear
 
             return solve_piecewise_linear(b, s, t, a=a, c=c)
