@@ -59,8 +59,9 @@ def request_route_key(request) -> str:
     """Routing key of a :class:`~repro.service.request.SolveRequest`.
 
     The engine is folded in so a sparse-engine request of a problem
-    family lives on one shard and its dense twin may live on another —
-    they share no warm state anyway.
+    family lives on one shard and its dense twin may live on another;
+    twins on one shard would share warm-start duals, across shards they
+    warm up separately.
     """
     key = route_key(request.problem)
     return f"{key}|{request.engine}" if request.engine != "dense" else key

@@ -94,8 +94,8 @@ class StoppingRule:
         """Evaluate the monitored quantity for the configured criterion.
 
         ``row_sums`` maps the iterate to its row sums; by default the
-        iterate is a dense matrix summed along axis 1.  The sparse drivers
-        pass a flat cell vector with its pattern's O(nnz) CSR row sums.
+        iterate is a dense matrix summed along axis 1.  The sparse layout
+        passes a flat cell vector with its pattern's O(nnz) CSR row sums.
         It is called only by the criteria that read row sums, so the
         ``delta-x`` check never pays for it.
         """

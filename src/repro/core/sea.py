@@ -27,10 +27,11 @@ problem's constant vectors.  The term formulas are elementwise, so they
 apply unchanged whether the leading axis is one problem's rows (the solo
 drivers below) or a whole batch of stacked problems
 (:func:`repro.service.batching.solve_batch`) — solo and batch solves share
-this one source of truth and are bit-identical.  The sparse drivers of
-:mod:`repro.sparse.sea` take the same variant and stopping rule; their
-segmented kernel sums in another order, so they agree with these to
-roundoff rather than bit for bit.
+this one source of truth and are bit-identical.
+
+The drivers sweep on a ``(row, column)`` workspace pair that carries
+the data layout: dense ``(m, n)`` matrices, or (:mod:`repro.sparse`) a
+mask pattern's active cells, which agree with dense to roundoff.
 
 The ``kernel`` argument lets the parallel executor substitute a
 row-partitioned solver for the default whole-matrix vectorized one; the
@@ -56,23 +57,9 @@ __all__ = ["solve_fixed", "solve_elastic", "solve_sam", "variant_spec"]
 # The one kernel contract, that of ``solve_piecewise_linear``:
 # ``kernel(breakpoints, slopes, target, a=None, c=None, workspace=None)``
 # returns the ``(m,)`` row multipliers.  The drivers pass ``workspace=``
-# on every phase; a kernel may ignore it but must accept the keyword
-# (one without it raises ``TypeError`` on its first call).
+# on every phase; a kernel may ignore it on dense ``(m, n)`` matrices,
+# not on a sparse pattern's flat cells, but must accept the keyword.
 Kernel = Callable[..., np.ndarray]
-
-
-def _prepare(x0, gamma, mask):
-    """Precompute the constant parts of the breakpoint matrices.
-
-    Row breakpoints are ``base - mu`` and column breakpoints are
-    ``base.T - lam`` with ``base = -2*gamma*x0`` (inactive cells are
-    inert: slope 0, breakpoint 0).
-    """
-    gamma_safe = np.where(mask, gamma, 1.0)
-    x0_safe = np.where(mask, x0, 0.0)
-    base = np.where(mask, -2.0 * gamma_safe * x0_safe, 0.0)
-    slopes = np.where(mask, 1.0 / (2.0 * gamma_safe), 0.0)
-    return base, slopes
 
 
 class DiagonalVariant:
@@ -253,26 +240,28 @@ def _run_diagonal(
     record_history: bool,
     workspaces=None,
 ) -> SolveResult:
-    """One driver for all three diagonal variants (solo path).
+    """One driver for all three diagonal variants and both layouts.
 
-    The row and column sweeps run on a ``(row, column)`` workspace pair
-    (``workspaces``, or a fresh one): breakpoint shifts and primal
-    recovery land in persistent buffers, and the kernel gets the pair's
-    workspace to run its sort-permutation-caching fast path on.
+    The sweeps run on a ``(row, column)`` workspace pair (``workspaces``,
+    or a fresh dense one) that carries the layout: the row workspace
+    supplies the row-major cell constants, row sums and final matrix,
+    each one shifts its phase's breakpoints and runs the kernel's fast
+    path, and the column one recovers the primal into the row-major
+    iterate.
     """
     stop = stop or spec.default_stop()
     t0 = time.perf_counter()
     m, n = problem.shape
-    base, slopes = _prepare(problem.x0, problem.gamma, problem.mask)
-    base_t, slopes_t = base.T.copy(), slopes.T.copy()
-    data = spec.pack(problem)
     if workspaces is None:
         workspaces = (SweepWorkspace(m, n), SweepWorkspace(n, m))
     row_ws, col_ws = workspaces
+    base, slopes, x_prev = row_ws.prepare(problem)
+    base_t, slopes_t = col_ws.orient(base), col_ws.orient(slopes)
+    row_len, col_len = row_ws.segment_length, col_ws.segment_length
+    data = spec.pack(problem)
 
     mu = np.zeros(n) if mu0 is None else np.asarray(mu0, dtype=np.float64).copy()
     lam = np.zeros(m)
-    x_prev = np.where(problem.mask, np.maximum(problem.x0, 0.0), 0.0)
     counts = PhaseCounts(cells=m * n)
     history: list[float] = []
     converged = False
@@ -280,31 +269,28 @@ def _run_diagonal(
     x = x_prev
     # Double-buffered primal recovery: x and x_prev must be distinct
     # arrays for the delta-x residual, so recovery alternates buffers.
-    xbufs = (np.empty((n, m)), np.empty((n, m)))
+    # Per solve, not per workspace: the returned x views one of them.
+    xbufs = (np.empty_like(base_t), np.empty_like(base_t))
 
     for t in range(1, stop.max_iterations + 1):
         # Step 1: row equilibration — m independent subproblems.
         target_r, a_r, c_r = spec.row_terms(data, mu)
         row_b = row_ws.shift(base, mu)
         lam = kernel(row_b, slopes, target_r, a=a_r, c=c_r, workspace=row_ws)
-        counts.add_equilibration(m, n)
+        counts.add_equilibration(m, row_len)
 
         # Step 2: column equilibration — n independent subproblems,
-        # plus vectorized primal recovery (eq. 23a / 40a).
+        # plus primal recovery (eq. 23a / 40a).
         target_c, a_c, c_c = spec.col_terms(data, lam)
         col_b = col_ws.shift(base_t, lam)
         mu = kernel(col_b, slopes_t, target_c, a=a_c, c=c_c, workspace=col_ws)
-        xt = xbufs[t % 2]
-        np.subtract(mu[:, None], col_b, out=xt)
-        np.maximum(xt, 0.0, out=xt)
-        np.multiply(xt, slopes_t, out=xt)
-        x = xt.T
-        counts.add_equilibration(n, m)
+        x = col_ws.recover(mu, col_b, slopes_t, xbufs[t % 2])
+        counts.add_equilibration(n, col_len)
 
         # Step 3: convergence verification (the serial phase).
         if stop.due(t):
             s, d = spec.totals(data, lam, mu)
-            residual = stop.residual(x, x_prev, s, d)
+            residual = stop.residual(x, x_prev, s, d, row_sums=row_ws.row_sums)
             counts.add_convergence_check(m, n)
             if record_history:
                 history.append(residual)
@@ -316,6 +302,7 @@ def _run_diagonal(
     s, d = spec.totals(data, lam, mu)
     s = np.array(s, dtype=np.float64)
     d = np.array(d, dtype=np.float64)
+    x = row_ws.densify(x)
     return SolveResult(
         x=x,
         s=s,
@@ -327,7 +314,7 @@ def _run_diagonal(
         residual=residual,
         objective=spec.objective(problem, x, s, d),
         elapsed=time.perf_counter() - t0,
-        algorithm=spec.algorithm,
+        algorithm=spec.algorithm + row_ws.tag,
         history=history,
         counts=counts,
     )
@@ -361,7 +348,9 @@ def solve_fixed(
         ``(row, column)`` :class:`~repro.equilibration.workspace.
         SweepWorkspace` pair of shapes ``(m, n)`` and ``(n, m)`` to
         sweep on, e.g. one the caller keeps across solves so cached
-        sort permutations carry over; a fresh pair by default.
+        sort permutations carry over; a fresh pair by default.  A
+        :class:`~repro.sparse.kernel.SparseSweepWorkspace` pair bound to
+        the problem's mask pattern runs the sparse layout instead.
     """
     return _run_diagonal(
         problem, _FixedVariant, stop, mu0, kernel, record_history, workspaces

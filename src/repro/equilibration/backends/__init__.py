@@ -31,7 +31,7 @@ comes up; an explicit ``name`` that is unknown or unbuildable raises.
 Resolution happens when a
 :class:`~repro.equilibration.workspace.SweepWorkspace` is constructed,
 so every layer that builds workspaces — the solo drivers,
-``sea_general``, ``solve_batch``, the sparse kernel, the parallel
+``sea_general``, ``solve_batch``, the sparse layout, the parallel
 kernels' per-block caches and ``SolveService`` — picks the backend up
 through the ``workspace=`` keyword every kernel call carries, with no
 API change.
@@ -72,14 +72,12 @@ class KernelBackend:
 
     Subclasses set ``name``/``compiled`` and implement :meth:`select`;
     the optional capabilities (:meth:`take_verify`, :meth:`resort_rows`,
-    ``supports_sparse`` + :meth:`select_sparse`) are probed with
-    ``getattr`` by the workspaces, so a backend only implements what it
-    accelerates.
+    :meth:`select_sparse`) are probed with ``getattr`` by the
+    workspaces, so a backend only implements what it accelerates.
     """
 
     name: str = "?"
     compiled: bool = False
-    supports_sparse: bool = False
 
     def select(self, bs, ss, rhs, a_arr, fixed, counts, *, ws=None):
         """Sorted-segment selection: ``(r, n)`` sorted arrays → ``(r,)``

@@ -28,7 +28,8 @@ Three entry points:
     formulation as ``_segment_cumsum`` (global ``np.cumsum`` minus
     offsets), so rounding, inf-inf and NaN propagation across segments
     match the NumPy kernel bitwise.  The per-row min reductions
-    replicate ``np.minimum.at``'s NaN-stickiness.
+    replicate ``np.minimum.at``'s NaN-stickiness, and a row that no
+    pass solves raises the NumPy tail's ``ValueError``.
 
 The shared object is cached under ``$REPRO_CNATIVE_CACHE`` (default
 ``~/.cache/repro-cnative``, falling back to the system temp dir), keyed
@@ -52,6 +53,7 @@ from numpy.ctypeslib import ndpointer
 
 from repro.equilibration.backends import KernelBackend
 from repro.equilibration.backends.numpy_backend import select_rows_numpy
+from repro.equilibration.exact import _no_candidate
 
 __all__ = ["CNativeBackend", "compiler_version"]
 
@@ -249,9 +251,10 @@ static double nan_max(double x, double y)
    re-subtracting the start cell from the already-rounded total, which
    is what `(total - values)[starts_flags]` computes and is not the
    same double as the running total before the segment.
-   lam must arrive zeroed; first_bp, first_cell, missing, cand are
-   caller scratch (cand holds the pass-1 candidates for the
-   least-violation pass). */
+   lam must arrive zeroed; first_bp, first_cell, cand are caller
+   scratch (cand holds the pass-1 candidates for the least-violation
+   pass).  missing[i] is left set only for a row no pass could solve
+   (its candidates are all nan); the caller raises on it. */
 void select_sparse_seg(const double *bs, const double *ss,
                        const int64_t *rid,
                        const double *rhs, const double *a,
@@ -330,6 +333,7 @@ void select_sparse_seg(const double *bs, const double *ss,
                                   0.0);
             if (viol <= best * (1.0 + 1e-12)) {
                 lam[i] = cand[j];
+                missing[i] = 0;
                 break;
             }
         }
@@ -491,7 +495,6 @@ class CNativeBackend(KernelBackend):
 
     name = "cnative"
     compiled = True
-    supports_sparse = True
 
     def __init__(self) -> None:
         self._lib = _build_library()
@@ -566,4 +569,6 @@ class CNativeBackend(KernelBackend):
             _as_f64(a_arr), _as_u8(fixed), _as_f64(target),
             nnz, m, lam, first_bp, first_cell, missing, cand,
         )
+        if missing.any():
+            raise _no_candidate(int(np.flatnonzero(missing)[0]))
         return lam

@@ -91,7 +91,6 @@ class NumpyBackend(KernelBackend):
 
     name = "numpy"
     compiled = False
-    supports_sparse = True
 
     def select(self, bs, ss, rhs, a_arr, fixed, counts, *, ws=None):
         return _tail(bs, ss, rhs, a_arr, fixed, counts, ws=ws)

@@ -71,6 +71,15 @@ def _check_feasible(rhs, fixed, active_counts):
         )
 
 
+def _no_candidate(row: int) -> ValueError:
+    """Every kernel's error for a row with no finite candidate segment."""
+    return ValueError(
+        f"equilibration subproblem {row} has no finite candidate "
+        "segment — its breakpoints, slopes or target contain "
+        "inf/nan or the equation is unsolvable"
+    )
+
+
 def _select(m, bs, denom, cand, lo, hi, valid, rhs, a_arr, fixed, active_counts):
     """Pick each row's multiplier from its candidate segments.
 
@@ -114,11 +123,8 @@ def _select(m, bs, denom, cand, lo, hi, valid, rhs, a_arr, fixed, active_counts)
         # index 0 and silently hand back a non-finite multiplier.
         has_candidate = (viol[rows_missing] < np.inf).any(axis=1)
         if not has_candidate.all():
-            bad = int(rows_missing[np.flatnonzero(~has_candidate)[0]])
-            raise ValueError(
-                f"equilibration subproblem {bad} has no finite candidate "
-                "segment — its breakpoints, slopes or target contain "
-                "inf/nan or the equation is unsolvable"
+            raise _no_candidate(
+                int(rows_missing[np.flatnonzero(~has_candidate)[0]])
             )
         best = np.argmin(viol[missing], axis=1)
         lam[missing] = cand[rows_missing, best]
@@ -149,7 +155,9 @@ def solve_piecewise_linear(
         Optional :class:`~repro.equilibration.workspace.SweepWorkspace`
         bound (or bindable) to ``slopes``: runs the preallocated,
         sort-permutation-caching fast path.  Results are bit-identical
-        to the cold path (``workspace=None``).
+        to the cold path (``workspace=None``).  On a
+        :class:`~repro.sparse.kernel.SparseSweepWorkspace` both arrays
+        are its pattern's flat ``(nnz,)`` active cells.
 
     This signature is the kernel contract of every diagonal driver
     (:data:`repro.core.sea.Kernel`): they pass ``workspace=`` on every

@@ -71,7 +71,52 @@ from repro.equilibration.exact import (
 __all__ = ["SweepWorkspace"]
 
 
-class SweepWorkspace:
+class _LayoutWorkspace:
+    """Kernel backend and sort counters, one vocabulary for the dense
+    workspace and :class:`repro.sparse.kernel.SparseSweepWorkspace`."""
+
+    def __init__(self, backend: "KernelBackend | str | None") -> None:
+        if isinstance(backend, KernelBackend):
+            self._backend = backend
+        else:
+            self._backend = get_backend(backend)
+        self.sweeps = 0
+        self.rows_reused = 0
+        self.rows_resorted = 0
+        self.full_resorts = 0
+        self.binds = 0
+
+    @property
+    def backend_name(self) -> str:
+        """Name of the kernel backend this workspace delegates to."""
+        return self._backend.name
+
+    @property
+    def sort_reuse_rate(self) -> float:
+        """Fraction of row-sorts answered by the cached permutation."""
+        total = self.rows_reused + self.rows_resorted
+        return self.rows_reused / total if total else 0.0
+
+    def counters_extended(self) -> dict:
+        """All counters plus the backend name.
+
+        ``rows_skipped`` and ``perm_repairs`` are retired (every sweep
+        takes the full path) and always read 0; the keys stay for
+        readers that report them.
+        """
+        return {
+            "sweeps": self.sweeps,
+            "rows_reused": self.rows_reused,
+            "rows_resorted": self.rows_resorted,
+            "rows_skipped": 0,
+            "perm_repairs": 0,
+            "full_resorts": self.full_resorts,
+            "binds": self.binds,
+            "backend": self._backend.name,
+        }
+
+
+class SweepWorkspace(_LayoutWorkspace):
     """Preallocated buffers + cached sort permutation for one ``(m, n)``.
 
     The workspace is *bound* to a slope matrix (:meth:`bind`, called
@@ -100,12 +145,9 @@ class SweepWorkspace:
     ) -> None:
         if m < 1 or n < 1:
             raise ValueError("workspace shape must be at least (1, 1)")
+        super().__init__(backend)
         self.m = int(m)
         self.n = int(n)
-        if isinstance(backend, KernelBackend):
-            self._backend = backend
-        else:
-            self._backend = get_backend(backend)
         shape = (self.m, self.n)
         pair = (self.m, max(self.n - 1, 0))
         # Float kernel buffers (the prefix-sum/candidate ones are the
@@ -142,12 +184,6 @@ class SweepWorkspace:
         self._counts = np.empty(self.m, dtype=np.intp)
         self._has_inactive = True
         self._zeros = np.zeros(self.m)
-        # Counters.
-        self.sweeps = 0
-        self.rows_reused = 0
-        self.rows_resorted = 0
-        self.full_resorts = 0
-        self.binds = 0
 
     # -- introspection ------------------------------------------------------
 
@@ -155,39 +191,6 @@ class SweepWorkspace:
     def rows(self) -> int:
         """Currently bound row count (``<= m`` after :meth:`retain`)."""
         return self._rows
-
-    @property
-    def backend(self) -> KernelBackend:
-        """The kernel backend this workspace delegates to."""
-        return self._backend
-
-    @property
-    def backend_name(self) -> str:
-        return self._backend.name
-
-    @property
-    def sort_reuse_rate(self) -> float:
-        """Fraction of row-sorts answered by the cached permutation."""
-        total = self.rows_reused + self.rows_resorted
-        return self.rows_reused / total if total else 0.0
-
-    def counters_extended(self) -> dict:
-        """All counters plus the backend name.
-
-        ``rows_skipped`` and ``perm_repairs`` are retired (every sweep
-        takes the full path) and always read 0; the keys stay for
-        readers that report them.
-        """
-        return {
-            "sweeps": self.sweeps,
-            "rows_reused": self.rows_reused,
-            "rows_resorted": self.rows_resorted,
-            "rows_skipped": 0,
-            "perm_repairs": 0,
-            "full_resorts": self.full_resorts,
-            "binds": self.binds,
-            "backend": self._backend.name,
-        }
 
     def permutation(self) -> np.ndarray:
         """Copy of the current per-row sort permutation (or ``None``)."""
@@ -311,7 +314,52 @@ class SweepWorkspace:
             else np.ascontiguousarray(SL).reshape(-1)
         )
 
-    # -- driver helpers -----------------------------------------------------
+    # -- layout hooks of the SEA driver --------------------------------------
+    # The dense layout: ``(m, n)`` matrices, transposed for the column
+    # phase, which alone is asked to orient and recover.
+
+    #: Algorithm-name suffix of results solved on this layout.
+    tag = ""
+
+    @property
+    def segment_length(self) -> int:
+        """Cells per row: the op-count model's row length."""
+        return self.n
+
+    @staticmethod
+    def prepare(problem):
+        """Row-major ``(base, slopes, starting iterate)`` of one solve:
+        breakpoints are ``base - mu`` (``base.T - lam``) with ``base =
+        -2*gamma*x0``; inactive cells are inert and start at 0."""
+        mask = problem.mask
+        gamma_safe = np.where(mask, problem.gamma, 1.0)
+        x0_safe = np.where(mask, problem.x0, 0.0)
+        base = np.where(mask, -2.0 * gamma_safe * x0_safe, 0.0)
+        slopes = np.where(mask, 1.0 / (2.0 * gamma_safe), 0.0)
+        x = np.where(mask, np.maximum(problem.x0, 0.0), 0.0)
+        return base, slopes, x
+
+    @staticmethod
+    def orient(values: np.ndarray) -> np.ndarray:
+        """Row-major cell values in the column phase's layout."""
+        return values.T.copy()
+
+    @staticmethod
+    def recover(lam, breakpoints, slopes, out: np.ndarray) -> np.ndarray:
+        """Column-phase primal recovery (eqs. 23a / 40a) into ``out``;
+        returns the row-major iterate, a transposed view of ``out``."""
+        np.subtract(lam[:, None], breakpoints, out=out)
+        np.maximum(out, 0.0, out=out)
+        np.multiply(out, slopes, out=out)
+        return out.T
+
+    @staticmethod
+    def row_sums(x: np.ndarray) -> np.ndarray:
+        return x.sum(axis=1)
+
+    @staticmethod
+    def densify(x: np.ndarray) -> np.ndarray:
+        return x
 
     def shift(self, base: np.ndarray, opposite: np.ndarray) -> np.ndarray:
         """``base - opposite[None, :]`` into a reusable buffer.

@@ -47,6 +47,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+import weakref
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
@@ -81,8 +82,9 @@ _POOL_TYPES: dict[str, type[Executor]] = {
 }
 
 
-# Per-block sweep workspaces, keyed by (kernel token, block index, block
-# shape).  Module-global on purpose: process-pool workers import this
+# Per-block sweep workspaces, keyed by (kernel token, phase, block index,
+# block shape); the phase keeps a square problem's row and column blocks
+# apart.  Module-global on purpose: process-pool workers import this
 # module once and then keep their block's workspace alive across
 # dispatches — the freshly unpickled slopes of each dispatch pass the
 # workspace's content-equality bind, so the cached sort permutation
@@ -114,8 +116,9 @@ def _solve_block(args):
     held the block's workspace, so the block ran the cold kernel
     (nothing to count).
     """
-    token, idx, breakpoints, slopes, target, a, c = args
-    lock, ws = _block_workspace((token, idx, breakpoints.shape), breakpoints.shape)
+    token, phase, idx, breakpoints, slopes, target, a, c = args
+    shape = breakpoints.shape
+    lock, ws = _block_workspace((token, phase, idx, shape), shape)
     if lock.acquire(blocking=False):
         try:
             before = ws.counters_extended()
@@ -194,6 +197,7 @@ class ParallelKernel:
         # find their previous sweep's permutation and different kernels
         # never collide.
         self._ws_token = next(_WS_TOKENS)
+        self._phases = weakref.WeakKeyDictionary()
         self._ladder = _LADDERS[backend]
         self._rung = 0
         self._pool: Executor | None = None
@@ -258,6 +262,16 @@ class ParallelKernel:
 
     # -- dispatch -----------------------------------------------------------
 
+    def _phase(self, workspace) -> int | None:
+        """Small id of a caller workspace (its phase); a dead caller's id
+        is recycled, which bounds the block workspaces kept per kernel."""
+        if workspace is None:
+            return None
+        if workspace not in self._phases:
+            taken = set(self._phases.values())
+            self._phases[workspace] = min(set(range(len(taken) + 1)) - taken)
+        return self._phases[workspace]
+
     def __call__(
         self, breakpoints, slopes, target, a=None, c=None, timeout=None,
         workspace=None,
@@ -275,22 +289,25 @@ class ParallelKernel:
         :class:`~repro.equilibration.workspace.SweepWorkspace`) is
         honored on single-block dispatches, which run in-process anyway;
         multi-block dispatches use the kernel's own per-block worker
-        workspaces instead, whose reuse counters aggregate into
+        workspaces instead (one set per caller workspace, i.e. phase),
+        whose reuse counters aggregate into
         ``sort_rows_reused`` / ``sort_rows_resorted``.  A caller
         workspace's counters belong to the caller — the kernel never
-        double-counts them.
+        double-counts them.  A flat sparse sweep also runs as one
+        in-process block: a row partition would split cells, not rows.
         """
         m = breakpoints.shape[0]
         blocks = partition_blocks(m, self.workers)
         self.dispatches += 1
-        if workspace is not None and len(blocks) <= 1:
+        if workspace is not None and (breakpoints.ndim == 1 or len(blocks) < 2):
             return solve_piecewise_linear(
                 breakpoints, slopes, target, a=a, c=c, workspace=workspace
             )
-        token = self._ws_token
+        token, phase = self._ws_token, self._phase(workspace)
         tasks = [
             (
                 token,
+                phase,
                 idx,
                 breakpoints[lo:hi],
                 slopes[lo:hi],

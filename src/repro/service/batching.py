@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.convergence import StoppingRule
 from repro.core.problems import FixedTotalsProblem
 from repro.core.result import PhaseCounts, SolveResult
-from repro.core.sea import _prepare, variant_spec
+from repro.core.sea import variant_spec
 from repro.equilibration.exact import solve_piecewise_linear
 from repro.equilibration.workspace import SweepWorkspace
 
@@ -119,11 +119,15 @@ def solve_batch(
     if len(mu0s) != k:
         raise ValueError("mu0s must align with problems")
 
+    if workspaces is None:
+        workspaces = (SweepWorkspace(k * m, n), SweepWorkspace(k * n, m))
+    row_ws, col_ws = workspaces
     # Problem-major 3-D stacks: axis 0 is the batch dimension.
     base = np.empty((k, m, n))
     slopes = np.empty((k, m, n))
+    x = np.empty((k, m, n))
     for i, p in enumerate(problems):
-        base[i], slopes[i] = _prepare(p.x0, p.gamma, p.mask)
+        base[i], slopes[i], x[i] = row_ws.prepare(p)
     base_t = np.ascontiguousarray(base.transpose(0, 2, 1))
     slopes_t = np.ascontiguousarray(slopes.transpose(0, 2, 1))
     packed = [spec.pack(p) for p in problems]
@@ -133,9 +137,6 @@ def solve_batch(
         for w in mu0s
     ])
     lam = np.zeros((k, m))
-    x = np.stack([
-        np.where(p.mask, np.maximum(p.x0, 0.0), 0.0) for p in problems
-    ])
     x_prev = x.copy()
 
     iterations = np.zeros(k, dtype=int)
@@ -144,9 +145,6 @@ def solve_batch(
     results: list[SolveResult | None] = [None] * k
     active = np.arange(k)
 
-    if workspaces is None:
-        workspaces = (SweepWorkspace(k * m, n), SweepWorkspace(k * n, m))
-    row_ws, col_ws = workspaces
     # Gathered per-active-set stacks: plain views of the full stacks
     # while every problem is live (zero copies per sweep), regathered
     # once per retirement instead of once per iteration.

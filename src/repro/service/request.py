@@ -43,8 +43,11 @@ class SolveRequest:
         Allow fusing this request into a same-kind, same-shape batch
         (fixed, elastic and SAM problems on the dense engine).
     engine:
-        ``'dense'`` (default) or ``'sparse'`` — the sparse engine routes
-        masked diagonal problems through :mod:`repro.sparse.sea`.
+        ``'dense'`` (default) or ``'sparse'``: the layout the service's
+        one driver sweeps a fixed, elastic or SAM problem on (sparse
+        keeps only the mask's active cells, :mod:`repro.sparse`), with
+        the same kernel, deadline, retries and warm starts; only fusing
+        into batches is dense-only.
     deadline_s:
         Wall-clock budget for this request (seconds); overruns answer
         with ``error_kind='deadline-exceeded'``.  ``None`` falls back to

@@ -115,7 +115,7 @@ __all__ = ["SolveService"]
 _SNAPSHOT_VERSION = 1
 
 _CORE_KINDS = (FixedTotalsProblem, ElasticProblem, SAMProblem, GeneralProblem)
-_BATCH_KINDS = (FixedTotalsProblem, ElasticProblem, SAMProblem)
+_DIAGONAL_KINDS = (FixedTotalsProblem, ElasticProblem, SAMProblem)
 
 
 # SweepWorkspace counters summed into the ``sort_*`` service stats.
@@ -311,11 +311,11 @@ class SolveService:
         self.crash_plan = None
         if self.snapshot_path is not None and self.snapshot_path.exists():
             self.restore_snapshot()
-        # Long-lived SweepWorkspace pairs, keyed (kind tag, shape, k):
-        # k=1 entries serve single dispatches, k>1 entries serve fused
-        # batches of exactly k problems.  Bounded LRU — a pair is just
-        # preallocated buffers plus a cached permutation, so eviction
-        # only costs the next solve one cold sort.
+        # Long-lived workspace pairs, keyed (kind tag, shape, k): k=1
+        # entries serve single dispatches, k>1 entries fused batches of
+        # exactly k problems; a sparse pair has the structure digest for
+        # k.  Bounded LRU — a pair is just preallocated buffers plus a
+        # cached permutation, so eviction only costs one cold sort.
         self._workspaces: OrderedDict[tuple, tuple] = OrderedDict()
         self._workspaces_max = 8
         # Counters of the pairs evicted so far, kept so that stats()
@@ -584,7 +584,7 @@ class SolveService:
                 self.batching
                 and req.batchable
                 and req.engine == "dense"
-                and type(req.problem) in _BATCH_KINDS
+                and type(req.problem) in _DIAGONAL_KINDS
             ):
                 kind = problem_kind(req.problem)
                 try:
@@ -653,11 +653,11 @@ class SolveService:
 
     # -- execution ----------------------------------------------------------
 
-    def _workspace_pair(self, key: tuple, m: int, n: int, k: int = 1):
-        """Get or create the LRU'd ``(row, column)`` workspace pair for
-        a kind+shape(+batch size) group.  An evicted pair's counters
-        move into the service's running totals, so the sort counters in
-        :meth:`stats` never go backwards."""
+    def _workspace_pair(self, key: tuple, build):
+        """Get the LRU'd ``(row, column)`` workspace pair of ``key``, or
+        ``build()`` one.  An evicted pair's counters move into the
+        service's running totals, so the sort counters in :meth:`stats`
+        never go backwards."""
         pair = self._workspaces.get(key)
         if pair is not None:
             self._workspaces.move_to_end(key)
@@ -667,15 +667,30 @@ class SolveService:
             _add_sort_counters(
                 self._evicted_sort, self._evicted_solves, evicted
             )
-        pair = (SweepWorkspace(k * m, n), SweepWorkspace(k * n, m))
+        pair = build()
         self._workspaces[key] = pair
         return pair
 
-    def _workspaces_for(self, req: SolveRequest, perms):
-        """Workspace pair for one dense single dispatch, seeded from the
-        cache's stored permutations when available."""
-        shape = req.problem.shape
-        pair = self._workspace_pair((self._kind_tag(req), shape, 1), *shape)
+    def _workspaces_for(self, req: SolveRequest, fp, perms):
+        """Workspace pair for one single dispatch (``None`` for a sparse
+        one :meth:`_dispatch` refuses), seeded from the cache's stored
+        permutations when available (a sparse pair refuses them, as does
+        a pair of another shape)."""
+        problem = req.problem
+        m, n = problem.shape
+        if req.engine == "sparse":  # bound to the mask: keyed by it
+            if type(problem) not in _DIAGONAL_KINDS:
+                return None  # _dispatch refuses the request
+            # Imported here: dense-only services never load the layout.
+            from repro.sparse.kernel import SparseSweepWorkspace
+            from repro.sparse.structure import SparsePattern
+
+            key, build = fp.structure, lambda: SparseSweepWorkspace.pair(
+                SparsePattern(problem.mask)
+            )
+        else:
+            key, build = 1, lambda: (SweepWorkspace(m, n), SweepWorkspace(n, m))
+        pair = self._workspace_pair((self._kind_tag(req), (m, n), key), build)
         if perms is not None:
             for ws, perm in zip(pair, perms):
                 if perm is None:
@@ -683,23 +698,18 @@ class SolveService:
                 try:
                     ws.seed_permutation(perm)
                 except ValueError:
-                    pass  # stale shape (e.g. evicted + different rows)
+                    pass  # another layout or shape: sweep unseeded
         return pair
 
     def _lookup(self, req: SolveRequest):
-        """Warm-start lookup; returns (mu0, warm, exact, fp, totals, perms)."""
-        if not (
-            self.warm_start
-            and req.warm_start
-            and req.engine == "dense"
-            and type(req.problem) in _CORE_KINDS
-        ):
-            if type(req.problem) in _CORE_KINDS and req.engine == "dense":
-                return (None, False, False, fingerprint(req.problem),
-                        totals_vector(req.problem), None)
+        """Warm-start lookup; returns (mu0, warm, exact, fp, totals, perms).
+        Both engines share a problem's bucket (and duals, not perms)."""
+        if type(req.problem) not in _CORE_KINDS:
             return (None, False, False, None, None, None)
         fp = fingerprint(req.problem)
         totals = totals_vector(req.problem)
+        if not (self.warm_start and req.warm_start):
+            return (None, False, False, fp, totals, None)
         hit = self.cache.lookup_with_perms(fp, totals)
         if hit is None:
             self._stats.cache_misses += 1
@@ -790,8 +800,8 @@ class SolveService:
             deadline = self._deadline_of(req, time.monotonic())
         retries = self._retries_of(req)
         workspaces = None
-        if req.engine == "dense" and type(req.problem) in _CORE_KINDS:
-            workspaces = self._workspaces_for(req, perms)
+        if type(req.problem) in _CORE_KINDS:
+            workspaces = self._workspaces_for(req, fp, perms)
         attempt = 0
         t0 = time.perf_counter()
         while True:
@@ -841,30 +851,15 @@ class SolveService:
     ):
         if deadline is not None and time.monotonic() >= deadline:
             raise DeadlineExceededError("request deadline exceeded")
+        problem = req.problem
+        if req.engine == "sparse" and type(problem) not in _DIAGONAL_KINDS:
+            raise TypeError(
+                f"sparse engine cannot solve {type(problem).__name__}"
+            )
         kernel = (
             self.kernel if deadline is None
             else _DeadlineKernel(self.kernel, deadline)
         )
-        problem = req.problem
-        if req.engine == "sparse":
-            from repro.sparse.sea import (
-                solve_elastic_sparse,
-                solve_fixed_sparse,
-                solve_sam_sparse,
-            )
-
-            sparse_dispatch = {
-                FixedTotalsProblem: solve_fixed_sparse,
-                ElasticProblem: solve_elastic_sparse,
-                SAMProblem: solve_sam_sparse,
-            }
-            solver = sparse_dispatch.get(type(problem))
-            if solver is None:
-                raise TypeError(
-                    f"sparse engine cannot solve {type(problem).__name__}"
-                )
-            stop = resolve_stop(req, problem_kind(problem))
-            return solver(problem, stop=stop)
         if type(problem) in _CORE_KINDS:
             stop = resolve_stop(req, problem_kind(problem))
             return solve(
@@ -901,8 +896,10 @@ class SolveService:
         # fused batch shares its buffers, and the cached permutations
         # survive problem retirements inside solve_batch via retain().
         m, n = members[0].problem.shape
+        k = len(members)
         workspaces = self._workspace_pair(
-            (kind, (m, n), len(members)), m, n, k=len(members)
+            (kind, (m, n), k),
+            lambda: (SweepWorkspace(k * m, n), SweepWorkspace(k * n, m)),
         )
         try:
             t0 = time.perf_counter()

@@ -11,14 +11,21 @@ breakpoint) and segment-reset cumulative sums over the flat nnz-length
 arrays — the classic segmented-scan formulation, all NumPy.  The
 per-row constants go through the dense kernel's own coercion and
 feasibility check, so an infeasible row raises the same
-:class:`~repro.errors.InfeasibleProblemError` on both layouts.
+:class:`~repro.errors.InfeasibleProblemError` on both layouts, and a
+row left with no finite candidate (inf/nan inputs) raises the dense
+kernel's ``ValueError``.
 
-Like the dense kernel, the sparse one has a persistent-sweep fast path:
-:class:`SparseSweepWorkspace` hoists the per-call validation and reuses
-the previous sweep's lexsort permutation.  ``lexsort((b, row_ids))`` is
-a stable sort whose primary key ``row_ids`` is already nondecreasing, so
-the sorted row ids, segment boundaries and segment indices are constant
-per binding; only the within-row order can drift, and a cached
+:func:`solve_piecewise_linear_sparse` is the cold kernel, the tests'
+reference.  The SEA drivers sweep on a pattern-bound
+:class:`SparseSweepWorkspace` pair instead, through the dense kernel's
+call ``solve_piecewise_linear(..., workspace=ws)``: sparse is a layout
+of the one driver of :mod:`repro.core.sea`, not a second engine.
+
+The fast path hoists the per-call validation and reuses the previous
+sweep's lexsort permutation.  ``lexsort((b, seg))`` is a stable sort
+whose primary key ``seg`` is already nondecreasing, so the sorted
+segment ids, segment boundaries and segment indices are constant per
+pattern; only the within-segment order can drift, and a cached
 permutation is accepted exactly when every within-segment pair is
 nondecreasing with ties in increasing original index — the unique
 stable order, hence bit-identical reuse.  Sparse reuse is whole-or-
@@ -30,7 +37,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.equilibration.exact import _check_feasible, _coerce_terms
+from repro.equilibration.exact import (
+    _check_feasible,
+    _coerce_terms,
+    _no_candidate,
+)
+from repro.equilibration.workspace import _LayoutWorkspace
+from repro.sparse.structure import SparsePattern
 
 __all__ = ["solve_piecewise_linear_sparse", "SparseSweepWorkspace"]
 
@@ -45,6 +58,15 @@ def _segment_cumsum(values: np.ndarray, starts_flags: np.ndarray) -> np.ndarray:
     seg_index = np.cumsum(starts_flags) - 1
     start_offsets = (total - values)[starts_flags]
     return total - start_offsets[seg_index]
+
+
+def _segments(rid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end flags of the segments of nondecreasing ids."""
+    seg_start = np.ones(rid.size, dtype=bool)
+    seg_start[1:] = rid[1:] != rid[:-1]
+    seg_end = np.ones(rid.size, dtype=bool)
+    seg_end[:-1] = seg_start[1:]
+    return seg_start, seg_end
 
 
 def _select_sparse(
@@ -104,6 +126,11 @@ def _select_sparse(
         np.minimum.at(pick, rid, pos2)
         fix_rows = missing & (pick < nnz)
         lam[fix_rows] = cand[pick[fix_rows]]
+        # A row no candidate fixed saw only nan (the global running sums
+        # carry one poisoned row's nan into every later row).
+        missing &= ~fix_rows
+        if np.any(missing):
+            raise _no_candidate(int(np.flatnonzero(missing)[0]))
     return lam
 
 
@@ -115,9 +142,11 @@ def solve_piecewise_linear_sparse(
     target: np.ndarray,
     a: np.ndarray | None = None,
     c: np.ndarray | None = None,
-    workspace: "SparseSweepWorkspace | None" = None,
 ) -> np.ndarray:
     """Solve ``m`` independent subproblems stored as flat active cells.
+
+    The cold kernel: the reference the tests compare the
+    :class:`SparseSweepWorkspace` fast path against.
 
     Parameters
     ----------
@@ -129,19 +158,11 @@ def solve_piecewise_linear_sparse(
         Number of rows (some may own zero cells).
     target, a, c:
         Per-row equation constants, as in the dense kernel.
-    workspace:
-        Optional :class:`SparseSweepWorkspace`: hoists the per-call
-        validation and reuses the previous sweep's lexsort permutation
-        (bit-identical results).
 
     Returns
     -------
     ``(m,)`` exact multipliers.
     """
-    if workspace is not None:
-        workspace.bind(row_ids, slopes, m)
-        return workspace.solve(breakpoints, target, a=a, c=c)
-
     row_ids = np.asarray(row_ids)
     b = np.asarray(breakpoints, dtype=np.float64)
     s = np.asarray(slopes, dtype=np.float64)
@@ -157,145 +178,138 @@ def solve_piecewise_linear_sparse(
     counts = np.bincount(row_ids, minlength=m) if nnz else np.zeros(m, int)
     _check_feasible(rhs, fixed, counts)
 
-    if nnz == 0:
-        lam = np.zeros(m)
-        elastic = ~fixed
-        lam[elastic] = rhs[elastic] / a_arr[elastic]
-        return lam
-
     # Sort by (row, breakpoint); stable so ties keep deterministic order.
     order = np.lexsort((b, row_ids))
     bs = b[order]
     ss = s[order]
     rid = row_ids[order]
-    seg_start = np.empty(nnz, dtype=bool)
-    seg_start[0] = True
-    seg_start[1:] = rid[1:] != rid[:-1]
-    seg_end = np.empty(nnz, dtype=bool)
-    seg_end[:-1] = seg_start[1:]
-    seg_end[-1] = True
+    seg_start, seg_end = _segments(rid)
 
     return _select_sparse(
         m, nnz, bs, ss, rid, seg_start, seg_end, rhs, a_arr, fixed, target
     )
 
 
-class SparseSweepWorkspace:
-    """Persistent lexsort-permutation cache for the sparse kernel.
+class SparseSweepWorkspace(_LayoutWorkspace):
+    """One phase of the sparse layout: lexsort-permutation cache plus
+    the SEA driver's layout hooks.
 
-    Bound to one ``(row_ids, slopes, m)`` pattern (identity-checked per
-    call, content-checked on new objects), it keeps the sorted row ids
-    and segment boundary masks — constant because ``lexsort``'s primary
-    key is already sorted — plus the previous sweep's permutation and
-    permuted slopes.  A sweep whose breakpoints still sort the same way
-    skips the ``O(nnz log nnz)`` lexsort entirely (``perm_hits``); one
-    out-of-order pair triggers a full re-lexsort (``perm_misses``).
+    Bound to one :class:`~repro.sparse.structure.SparsePattern`, whose
+    rows in row-major order are the segments, or with ``columns=True``
+    its columns in column-major order; :meth:`pair` builds both.  Reuse
+    is whole-or-nothing: a sweep counts every segment as reused, or as
+    resorted plus one ``full_resorts``.
     """
 
-    def __init__(
-        self, nnz: int, m: int, backend: "object | str | None" = None
-    ) -> None:
-        from repro.equilibration.backends import KernelBackend, get_backend
+    #: Algorithm-name suffix of results solved on this layout.
+    tag = "-sparse"
 
-        self.nnz = int(nnz)
-        self.m = int(m)
-        if isinstance(backend, KernelBackend):
-            self._backend = backend
+    def __init__(
+        self,
+        pattern: SparsePattern,
+        columns: bool = False,
+        backend: "object | str | None" = None,
+    ) -> None:
+        super().__init__(backend)
+        self.pattern = pattern
+        # Segment and opposite ids per cell, and the cells' positions in
+        # row-major order.
+        if columns:
+            self._seg, self._opp = pattern.cols_c, pattern.rows_c
+            self._perm = pattern.csc_perm
+            self.m = pattern.shape[1]
         else:
-            self._backend = get_backend(backend)
-        # A backend accelerates the sparse tail only when it both claims
-        # sparse support and ships a segmented kernel; the reference
-        # NumPy backend intentionally resolves to None here so the
+            self._seg, self._opp = pattern.rows, pattern.cols
+            self._perm = slice(None)
+            self.m = pattern.shape[0]
+        self.nnz = pattern.nnz
+        # A backend accelerates the sparse tail only if it ships a
+        # segmented kernel; the reference NumPy backend has none, so the
         # in-module `_select_sparse` stays the code path it documents.
-        self._select_backend = (
-            getattr(self._backend, "select_sparse", None)
-            if self._backend.supports_sparse
-            else None
-        )
+        self._select_backend = getattr(self._backend, "select_sparse", None)
+        self._counts = np.bincount(self._seg, minlength=self.m)
+        self._seg_start, self._seg_end = _segments(self._seg)
+        self._not_start = ~self._seg_start[1:]
         self._bs = np.empty(self.nnz)
+        self._shift = np.empty(self.nnz)
         self._order = None
         self._ord_incr = None  # within-segment tie stability bits
         self._ss_sorted = None
-        self._rid_ref = None
         self._slopes_ref = None
-        self._rid = None
         self._slopes = None
-        self._counts = None
-        self._seg_start = None
-        self._seg_end = None
-        self._not_start = None
-        self.sweeps = 0
-        self.perm_hits = 0
-        self.perm_misses = 0
-        self.binds = 0
+
+    @classmethod
+    def pair(cls, pattern: SparsePattern, backend=None) -> tuple:
+        """The ``(row, column)`` workspace pair of one pattern."""
+        return cls(pattern, backend=backend), cls(pattern, True, backend)
+
+    def permutation(self) -> None:
+        """None: a pair keeps its lexsort order for its own pattern."""
+        return None
+
+    def seed_permutation(self, order) -> None:
+        """Refuse a (dense) warm-start permutation."""
+        raise ValueError("a sparse workspace takes no seed permutation")
+
+    # -- layout hooks of the SEA driver --------------------------------------
 
     @property
-    def backend_name(self) -> str:
-        """Name of the kernel backend serving the segmented tail."""
-        return self._backend.name
+    def segment_length(self) -> int:
+        """Mean cells per segment: the op-count model's row length."""
+        return max(int(self.nnz / max(self.m, 1)), 1)
 
-    @property
-    def sort_reuse_rate(self) -> float:
-        total = self.perm_hits + self.perm_misses
-        return self.perm_hits / total if total else 0.0
+    def prepare(self, problem):
+        """Flat row-major ``(base, slopes, starting iterate)`` of one
+        solve on this pattern."""
+        p, mask = self.pattern, problem.mask
+        same = mask.shape == p.shape and mask.sum() == p.nnz
+        if not (same and mask[p.rows, p.cols].all()):
+            raise ValueError("problem mask does not match the pattern")
+        gamma = problem.gamma[p.rows, p.cols]
+        x0 = problem.x0[p.rows, p.cols]
+        return -2.0 * gamma * x0, 1.0 / (2.0 * gamma), np.maximum(x0, 0.0)
 
-    def counters(self) -> tuple[int, int, int]:
-        return (self.sweeps, self.perm_hits, self.perm_misses)
+    def orient(self, values: np.ndarray) -> np.ndarray:
+        """Row-major cell values in this phase's cell order."""
+        return values[self._perm]
 
-    def bind(self, row_ids: np.ndarray, slopes: np.ndarray, m: int) -> None:
-        if (
-            row_ids is self._rid_ref
-            and slopes is self._slopes_ref
-            and m == self.m
-        ):
+    def shift(self, base: np.ndarray, opposite: np.ndarray) -> np.ndarray:
+        """``base`` minus each cell's opposite multiplier (reused buffer)."""
+        return np.subtract(base, opposite[self._opp], out=self._shift)
+
+    def recover(self, lam, breakpoints, slopes, out: np.ndarray) -> np.ndarray:
+        """Primal recovery (eq. 23a) into the row-major iterate ``out``."""
+        out[self._perm] = slopes * np.maximum(lam[self._seg] - breakpoints, 0.0)
+        return out
+
+    def row_sums(self, x: np.ndarray) -> np.ndarray:
+        return self.pattern.row_sums(x)
+
+    def densify(self, x: np.ndarray) -> np.ndarray:
+        return self.pattern.to_dense(x)
+
+    # -- the kernel fast path --------------------------------------------------
+
+    def bind(self, slopes: np.ndarray) -> None:
+        """Bind the flat slopes: same object or content keeps the cached
+        permutation; new content re-validates and drops it."""
+        if slopes is self._slopes_ref:
             return
-        rid = np.asarray(row_ids)
         s = np.asarray(slopes, dtype=np.float64)
-        if rid.shape != (self.nnz,) or s.shape != (self.nnz,):
-            raise ValueError(
-                f"pattern size {rid.shape} does not match workspace "
-                f"nnz={self.nnz}"
-            )
-        if m != self.m:
-            raise ValueError(f"row count {m} != workspace m={self.m}")
-        same = (
-            self._rid is not None
-            and np.array_equal(rid, self._rid)
-            and np.array_equal(s, self._slopes)
-        )
-        self._rid_ref = row_ids
+        if s.shape != (self.nnz,):
+            raise ValueError(f"slopes shape {s.shape} != ({self.nnz},)")
+        if self._slopes is None or not np.array_equal(s, self._slopes):
+            if np.any(s <= 0.0):
+                raise ValueError(
+                    "sparse cells must carry strictly positive slopes"
+                )
+            self._order = None
+            self.binds += 1
         self._slopes_ref = slopes
-        if same:
-            self._rid = rid
-            self._slopes = s
-            return
-        if np.any(s <= 0.0):
-            raise ValueError("sparse cells must carry strictly positive slopes")
-        if np.any(np.diff(rid) < 0):
-            raise ValueError(
-                "row_ids must be in row-major (nondecreasing) order"
-            )
-        self._rid = rid
         self._slopes = s
-        self._counts = (
-            np.bincount(rid, minlength=m) if self.nnz else np.zeros(m, int)
-        )
-        if self.nnz:
-            seg_start = np.empty(self.nnz, dtype=bool)
-            seg_start[0] = True
-            seg_start[1:] = rid[1:] != rid[:-1]
-            seg_end = np.empty(self.nnz, dtype=bool)
-            seg_end[:-1] = seg_start[1:]
-            seg_end[-1] = True
-            self._seg_start = seg_start
-            self._seg_end = seg_end
-            self._not_start = ~seg_start[1:]
-        self._order = None
-        self._ss_sorted = None
-        self.binds += 1
 
     def solve(self, breakpoints, target, a=None, c=None) -> np.ndarray:
-        if self._rid is None:
+        if self._slopes is None:
             raise RuntimeError("workspace is not bound; call bind() first")
         m = self.m
         b = np.asarray(breakpoints, dtype=np.float64)
@@ -305,36 +319,28 @@ class SparseSweepWorkspace:
         fixed = a_arr == 0.0
         _check_feasible(rhs, fixed, self._counts)
 
-        if self.nnz == 0:
-            lam = np.zeros(m)
-            elastic = ~fixed
-            lam[elastic] = rhs[elastic] / a_arr[elastic]
-            return lam
-
         bs = self._bs
-        if self._order is not None:
+        if self._order is not None and self._stable_order(
             np.take(b, self._order, out=bs)
-            if self._stable_order(bs):
-                self.perm_hits += 1
-            else:
-                self._relex(b, bs)
-                self.perm_misses += 1
+        ):
+            self.rows_reused += m
         else:
             self._relex(b, bs)
-            self.perm_misses += 1
+            self.rows_resorted += m
+            self.full_resorts += 1
         self.sweeps += 1
 
         if self._select_backend is not None:
             return self._select_backend(
-                bs, self._ss_sorted, self._rid, rhs, a_arr, fixed, target, m
+                bs, self._ss_sorted, self._seg, rhs, a_arr, fixed, target, m
             )
         return _select_sparse(
-            m, self.nnz, bs, self._ss_sorted, self._rid, self._seg_start,
+            m, self.nnz, bs, self._ss_sorted, self._seg, self._seg_start,
             self._seg_end, rhs, a_arr, fixed, target,
         )
 
     def _relex(self, b: np.ndarray, bs: np.ndarray) -> None:
-        self._order = np.lexsort((b, self._rid))
+        self._order = np.lexsort((b, self._seg))
         np.take(b, self._order, out=bs)
         self._ss_sorted = self._slopes[self._order]
         if self.nnz > 1:

@@ -272,20 +272,21 @@ class TestWorkspaceBitIdentity:
         from repro.core.convergence import StoppingRule
         from repro.sparse.kernel import SparseSweepWorkspace
         from repro.sparse.sea import solve_fixed_sparse
+        from repro.sparse.structure import SparsePattern
         from tests.conftest import random_fixed_problem
 
         problem = random_fixed_problem(rng, 15, 12, density=0.5)
         stop = StoppingRule(eps=1e-6, criterion="delta-x", max_iterations=500)
         fresh = solve_fixed_sparse(problem, stop=stop)
 
-        nnz = int(problem.mask.sum())
-        pair = (SparseSweepWorkspace(nnz, 15), SparseSweepWorkspace(nnz, 12))
+        pair = SparseSweepWorkspace.pair(SparsePattern(problem.mask))
         solve_fixed_sparse(problem, stop=stop, workspaces=pair)
-        before = pair[0].counters()
+        before = pair[0].counters_extended()
         again = solve_fixed_sparse(problem, stop=stop, workspaces=pair)
         self._assert_same(fresh, again)
         if again.iterations > 1:
-            assert pair[0].counters()[1] > before[1]
+            after = pair[0].counters_extended()
+            assert after["rows_reused"] > before["rows_reused"]
 
     def test_solve_batch(self, rng):
         from repro.core.convergence import StoppingRule

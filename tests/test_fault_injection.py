@@ -24,6 +24,11 @@ from repro.core.sea import solve_fixed
 from repro.errors import DeadlineExceededError, WorkerCrashError
 from repro.parallel.executor import ParallelKernel
 from repro.service import FaultPlan, FaultyKernel, SolveService
+from repro.sparse.sea import solve_fixed_sparse
+
+# Fault-free baselines per request engine: sparse requests sweep the
+# service's one driver on a sparse layout, so faults reach them too.
+BASELINES = {"dense": solve, "sparse": solve_fixed_sparse}
 
 
 def infeasible_fixed() -> FixedTotalsProblem:
@@ -89,14 +94,16 @@ class TestFaultPlan:
 class TestServiceRetries:
     def test_injected_raise_is_retried_to_identical_result(self, rng):
         problem = random_fixed_problem(rng, 4, 4)
-        baseline = solve(problem)
-        plan = FaultPlan(seed=0, raise_fraction=1.0, max_faults=2)
-        with chaos_service(plan, default_retries=3) as svc:
-            resp = svc.solve(problem)
-        assert resp.ok and resp.retries == 2
-        np.testing.assert_array_equal(resp.result.x, baseline.x)
-        stats = svc.stats()
-        assert stats.retries == 2 and stats.errors == 0
+        for engine, baseline in BASELINES.items():
+            plan = FaultPlan(seed=0, raise_fraction=1.0, max_faults=2)
+            with chaos_service(plan, default_retries=3) as svc:
+                resp = svc.solve(problem, engine=engine)
+            assert resp.ok and resp.retries == 2, engine
+            np.testing.assert_array_equal(
+                resp.result.x, baseline(problem).x, err_msg=engine
+            )
+            stats = svc.stats()
+            assert stats.retries == 2 and stats.errors == 0, engine
 
     def test_retries_exhausted_reports_worker_crash(self, rng):
         plan = FaultPlan(seed=0, raise_fraction=1.0)  # unbounded chaos
@@ -117,26 +124,31 @@ class TestServiceRetries:
 
     def test_corrupted_dispatch_detected_and_resolved(self, rng):
         problem = random_fixed_problem(rng, 4, 4)
-        baseline = solve(problem)
-        plan = FaultPlan(seed=0, corrupt_fraction=1.0, max_faults=1)
-        with chaos_service(plan, default_retries=3) as svc:
-            resp = svc.solve(problem)
-        assert resp.ok and resp.retries == 1
-        np.testing.assert_array_equal(resp.result.x, baseline.x)
-        assert svc.kernel.injected["corrupt"] == 1
+        for engine, baseline in BASELINES.items():
+            plan = FaultPlan(seed=0, corrupt_fraction=1.0, max_faults=1)
+            with chaos_service(plan, default_retries=3) as svc:
+                resp = svc.solve(problem, engine=engine)
+            assert resp.ok and resp.retries == 1, engine
+            np.testing.assert_array_equal(
+                resp.result.x, baseline(problem).x, err_msg=engine
+            )
+            assert svc.kernel.injected["corrupt"] == 1, engine
 
 
 class TestDeadlines:
     def test_delay_fault_trips_deadline(self, rng):
-        plan = FaultPlan(seed=0, delay_fraction=1.0, delay_s=0.05)
-        with chaos_service(plan, default_deadline_s=0.04) as svc:
-            t0 = time.monotonic()
-            resp = svc.solve(random_fixed_problem(rng, 4, 4))
-            elapsed = time.monotonic() - t0
-        assert not resp.ok and resp.error_kind == "deadline-exceeded"
-        assert resp.retries == 0  # deadline errors fail fast
-        assert elapsed < 2.0  # nowhere near a full delayed solve
-        assert svc.stats().deadline_exceeded >= 1
+        problem = random_fixed_problem(rng, 4, 4)
+        for engine in BASELINES:
+            plan = FaultPlan(seed=0, delay_fraction=1.0, delay_s=0.05)
+            with chaos_service(plan, default_deadline_s=0.04) as svc:
+                t0 = time.monotonic()
+                resp = svc.solve(problem, engine=engine)
+                elapsed = time.monotonic() - t0
+            assert not resp.ok, engine
+            assert resp.error_kind == "deadline-exceeded", engine
+            assert resp.retries == 0  # deadline errors fail fast
+            assert elapsed < 2.0  # nowhere near a full delayed solve
+            assert svc.stats().deadline_exceeded >= 1, engine
 
     def test_per_request_deadline_overrides_default(self, rng):
         plan = FaultPlan(seed=0, delay_fraction=1.0, delay_s=0.05)

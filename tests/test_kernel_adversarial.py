@@ -306,6 +306,34 @@ class TestWorkspaceAdversarial:
             solve_piecewise_linear(bad, slopes, target)
         assert str(warm_err.value) == str(cold_err.value)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_sparse_nan_row_raises_like_dense(self, rng, backend):
+        """A sparse row with no finite candidate raises the dense
+        kernel's error on the cold and workspace paths, instead of
+        reading 0 (and zeroing every later row: the segmented running
+        sums are global)."""
+        from repro.sparse.kernel import SparseSweepWorkspace
+        from repro.sparse.structure import SparsePattern
+
+        m, n = 3, 4
+        b = rng.uniform(-5.0, 5.0, (m, n))
+        b[1] = np.nan
+        s = rng.uniform(0.5, 2.0, (m, n))
+        target = rng.uniform(5.0, 20.0, m)
+        pattern = SparsePattern(np.ones((m, n), dtype=bool))
+        with pytest.raises(ValueError) as dense_err:
+            solve_piecewise_linear(b, s, target)
+        with pytest.raises(ValueError) as cold_err:
+            solve_piecewise_linear_sparse(
+                pattern.rows, b.ravel(), s.ravel(), m, target
+            )
+        ws = SparseSweepWorkspace(pattern, backend=backend)
+        with pytest.raises(ValueError) as warm_err:
+            solve_piecewise_linear(b.ravel(), s.ravel(), target, workspace=ws)
+        assert "subproblem 1 has no finite candidate" in str(dense_err.value)
+        assert str(cold_err.value) == str(dense_err.value)
+        assert str(warm_err.value) == str(dense_err.value)
+
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestWorkspaceMatchesCold:

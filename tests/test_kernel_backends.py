@@ -224,24 +224,24 @@ class TestCompiledBitIdentity:
 @pytest.mark.skipif(not AVAILABLE.get("cnative"), reason="no C compiler")
 class TestSparseBackend:
     def test_sparse_trajectory_matches_reference(self, rng):
-        from repro.sparse.kernel import solve_piecewise_linear_sparse
+        from repro.sparse.structure import SparsePattern
 
         m, nnz_per = 11, 5
-        rows = np.repeat(np.arange(m), nnz_per)
-        bp = rng.uniform(-5.0, 5.0, rows.size)
+        pattern = SparsePattern(np.ones((m, nnz_per), dtype=bool))
+        bp = rng.uniform(-5.0, 5.0, pattern.nnz)
         bp[3] = bp[4]  # duplicate inside a segment
-        sl = rng.uniform(0.5, 2.0, rows.size)
+        sl = rng.uniform(0.5, 2.0, pattern.nnz)
         target = rng.uniform(1.0, 20.0, m)
-        ws_ref = SparseSweepWorkspace(rows.size, m, backend="numpy")
-        ws_c = SparseSweepWorkspace(rows.size, m, backend="cnative")
+        ws_ref = SparseSweepWorkspace(pattern, backend="numpy")
+        ws_c = SparseSweepWorkspace(pattern, backend="cnative")
         assert ws_c.backend_name == "cnative"
         for _ in range(4):
-            shift = rng.uniform(-0.2, 0.2, rows.size)
-            lam_ref = solve_piecewise_linear_sparse(
-                rows, bp + shift, sl, m, target, workspace=ws_ref
+            shift = rng.uniform(-0.2, 0.2, pattern.nnz)
+            lam_ref = solve_piecewise_linear(
+                bp + shift, sl, target, workspace=ws_ref
             )
-            lam_c = solve_piecewise_linear_sparse(
-                rows, bp + shift, sl, m, target, workspace=ws_c
+            lam_c = solve_piecewise_linear(
+                bp + shift, sl, target, workspace=ws_c
             )
             np.testing.assert_array_equal(lam_ref, lam_c)
 

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_fixed_problem
+from conftest import random_fixed_problem, random_sam_problem
 from repro.core.convergence import StoppingRule
 from repro.core.sea import solve_elastic, solve_fixed
 from repro.datasets.spe_data import spe_instance
 from repro.parallel.executor import ParallelKernel
 from repro.parallel.partition import partition_blocks
+from repro.service import SolveService
 from repro.spe.model import solve_spe
 
 
@@ -106,6 +107,20 @@ class TestParallelKernel:
         kernel.close()
         np.testing.assert_array_equal(first.x, baseline.x)
         np.testing.assert_array_equal(second.x, baseline.x)
+
+    def test_square_phases_keep_their_own_sort_orders(self, rng):
+        """A square problem's row and column blocks share one shape but
+        not one block workspace, so both phases reuse their sorts."""
+        problem = random_sam_problem(rng, 40)
+        answers, reuse = {}, {}
+        for workers in (1, 2):
+            with SolveService(workers=workers) as svc:
+                answers[workers] = svc.solve(problem, eps=1e-6).result
+                reuse[workers] = svc.stats().sort_reuse_rate
+        assert answers[2].iterations > 1
+        assert reuse[2] > 0
+        np.testing.assert_array_equal(answers[1].x, answers[2].x)
+        np.testing.assert_array_equal(answers[1].mu, answers[2].mu)
 
     def test_pool_creation_is_lazy(self):
         kernel = ParallelKernel(workers=4, backend="thread")

@@ -27,6 +27,9 @@ from repro.service.wire import (
     request_to_jsonable,
     response_to_jsonable,
 )
+from repro.sparse.kernel import SparseSweepWorkspace
+from repro.sparse.sea import solve_fixed_sparse
+from repro.sparse.structure import SparsePattern
 
 
 def perturbed(problem: FixedTotalsProblem, rng, drift=0.02) -> FixedTotalsProblem:
@@ -304,13 +307,17 @@ class TestWarmStartConvergence:
         stop_kw = {"eps": 1e-9, "max_iterations": 20_000}
         p1 = random_fixed_problem(rng, 8, 7)
         p2 = perturbed(p1, rng)
-        cold = solve_fixed(p2, stop=StoppingRule(**stop_kw))
-        with SolveService() as svc:
-            svc.solve(p1, **stop_kw)
-            resp = svc.solve(p2, **stop_kw)
-        assert resp.warm_started and not resp.cache_exact
-        assert resp.converged
-        np.testing.assert_allclose(resp.result.x, cold.x, atol=1e-6)
+        for engine, solver in (("dense", solve_fixed),
+                               ("sparse", solve_fixed_sparse)):
+            cold = solver(p2, stop=StoppingRule(**stop_kw))
+            with SolveService() as svc:
+                svc.solve(p1, engine=engine, **stop_kw)
+                resp = svc.solve(p2, engine=engine, **stop_kw)
+            assert resp.warm_started and not resp.cache_exact, engine
+            assert resp.converged, engine
+            np.testing.assert_allclose(
+                resp.result.x, cold.x, atol=1e-6, err_msg=engine
+            )
 
     def test_general_mu0_warm_start(self, rng):
         x0 = rng.uniform(1, 5, (4, 4))
@@ -322,6 +329,84 @@ class TestWarmStartConvergence:
         warm = solve_general(p, stop=stop, mu0=cold.mu)
         assert warm.converged
         np.testing.assert_allclose(warm.x, cold.x, atol=1e-5)
+
+
+class TestSparseLayout:
+    """Sparse requests take the service's one dispatch path: its kernel,
+    workspace LRU, warm-start cache and sort counters."""
+
+    STOP = {"eps": 1e-9, "max_iterations": 20_000}
+
+    def test_same_shape_masks_get_their_own_pairs(self, rng):
+        a = random_fixed_problem(rng, 9, 8, density=0.5)
+        b = random_fixed_problem(rng, 9, 8, density=0.5)
+        assert not np.array_equal(a.mask, b.mask)
+        with SolveService() as svc:
+            answers = [(p, svc.solve(p, engine="sparse", **self.STOP))
+                       for p in (a, b)]
+            stats = svc.stats()
+        for p, resp in answers:
+            cold = solve_fixed_sparse(p, stop=StoppingRule(**self.STOP))
+            assert resp.result.algorithm == "SEA-fixed-sparse"
+            for key in ("x", "lam", "mu"):
+                np.testing.assert_array_equal(
+                    getattr(resp.result, key), getattr(cold, key)
+                )
+        # Every sweep ran on a service-owned sparse pair.
+        sweeps = sum(2 * resp.result.iterations for _, resp in answers)
+        assert stats.sort_sweeps == sweeps
+
+    def test_sparse_sweeps_feed_sort_counters(self, rng):
+        problem = masked_elastic_problem(rng, 8, 7)
+        with SolveService() as svc:
+            before = svc.stats()
+            svc.solve(problem, engine="sparse", **self.STOP)
+            after = svc.stats()
+        assert after.sort_sweeps > before.sort_sweeps == 0
+        assert after.sort_full_resorts > 0
+        assert sum(after.backend_solves.values()) == after.sort_sweeps
+
+    def test_dense_and_sparse_share_warm_starts(self, rng):
+        problem = random_fixed_problem(rng, 9, 8, density=0.5)
+        stop = StoppingRule(**self.STOP)
+        pairs = {
+            "dense": lambda: None,
+            "sparse": lambda: SparseSweepWorkspace.pair(
+                SparsePattern(problem.mask)
+            ),
+        }
+        for first, second in (("dense", "sparse"), ("sparse", "dense")):
+            with SolveService() as svc:
+                seed = svc.solve(problem, engine=first, **self.STOP)
+                resp = svc.solve(problem, engine=second, **self.STOP)
+            assert resp.ok and resp.warm_started and resp.cache_exact, second
+            direct = solve_fixed(
+                problem, stop=stop, mu0=seed.result.mu,
+                workspaces=pairs[second](),
+            )
+            assert resp.result.iterations == direct.iterations, second
+            np.testing.assert_array_equal(resp.result.x, direct.x)
+
+    def test_sparse_general_problem_is_refused_without_a_pair(self):
+        x0 = np.arange(1.0, 10.0).reshape(3, 3)
+        p = GeneralProblem(kind="fixed", x0=x0, G=dense_spd_weights(9, seed=0),
+                           s0=x0.sum(axis=1), d0=x0.sum(axis=0))
+        with SolveService() as svc:
+            resp = svc.solve(p, engine="sparse")
+            assert not svc._workspaces
+        assert not resp.ok and resp.error_kind == "internal"
+        assert "sparse engine cannot solve GeneralProblem" in resp.error
+
+    def test_two_workers_match_one(self, rng):
+        problem = masked_sam_problem(rng, 12)
+        answers = []
+        for workers in (1, 2):
+            with SolveService(workers=workers) as svc:
+                answers.append(svc.solve(problem, engine="sparse", eps=1e-9))
+                assert svc.kernel.dispatches > 0
+        one, two = (resp.result for resp in answers)
+        np.testing.assert_array_equal(one.x, two.x)
+        np.testing.assert_array_equal(one.mu, two.mu)
 
 
 class TestService:

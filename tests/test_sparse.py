@@ -150,6 +150,25 @@ class TestSparseSEA:
         assert sparse.converged
         assert sparse.objective == pytest.approx(dense.objective, rel=1e-6)
 
+    def test_pair_serves_only_its_own_mask(self, rng):
+        """A pattern-bound pair refuses a problem on another mask, even
+        one with the same shape and cell count."""
+        from repro.sparse.kernel import SparseSweepWorkspace
+
+        problem = random_fixed_problem(rng, 6, 5, density=0.5)
+        pair = SparseSweepWorkspace.pair(SparsePattern(problem.mask))
+        moved = problem.mask.copy()
+        i, j = np.argwhere(moved)[0]
+        k, l = np.argwhere(~moved)[0]
+        moved[i, j], moved[k, l] = False, True
+        other = random_fixed_problem(rng, 6, 5)
+        for mask in (moved, np.ones((6, 5), dtype=bool)):
+            shifted = type(other)(x0=other.x0, gamma=other.gamma,
+                                  s0=other.s0, d0=other.d0, mask=mask)
+            with pytest.raises(ValueError, match="does not match"):
+                solve_fixed_sparse(shifted, stop=TIGHT, workspaces=pair)
+        assert solve_fixed_sparse(problem, stop=TIGHT, workspaces=pair).converged
+
     def test_fully_dense_mask_still_works(self, rng):
         problem = random_fixed_problem(rng, 10, 10, density=1.0)
         sparse = solve_fixed_sparse(problem, stop=TIGHT)
