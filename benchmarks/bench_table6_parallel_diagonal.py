@@ -3,10 +3,10 @@
 Two parts:
 
 * wall-clock benchmarks of the worker-pool backends (serial vs thread)
-  on the same instance — on a multicore host the thread backend's time
-  drops; on this reproduction's reference host (single core) the times
-  tie, which is why the *reproduction target* is the deterministic cost
-  model, not the wall clock;
+  on the same instance — whether threads win depends on the host's
+  cores and on the instance (EXPERIMENTS.md records measured 1- and
+  2-thread times), which is why the *reproduction target* is the
+  deterministic cost model, not the wall clock;
 * regeneration of Table 6 (and Figure 5's four curves) from the
   calibrated cost model over measured phase counts, into
   ``benchmarks/results/table6.txt``.

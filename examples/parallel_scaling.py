@@ -5,9 +5,9 @@ SEA's row and column equilibration phases consist of independent
 subproblems — the paper assigns each to a processor of a 6-CPU IBM
 3090-600E.  This example:
 
-1. runs the same problem through the serial, thread-pool and (if
-   requested) process-pool backends, verifying bit-identical results —
-   the decomposition is real, scheduling is free;
+1. runs the same problem through the serial and thread-pool
+   backends, verifying bit-identical results — the decomposition is
+   real, scheduling is free;
 2. feeds the run's measured phase counts to the calibrated machine
    model and prints the projected speedup/efficiency table (the
    Table 6 / Figure 5 reproduction path, host-independent).

@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "drain (default 32)")
     serve.add_argument("--workers", type=int, default=1,
                        help="worker count of the shared kernel pool")
-    serve.add_argument("--backend", choices=("serial", "thread", "process"),
+    serve.add_argument("--backend", choices=("serial", "thread"),
                        default="serial")
     serve.add_argument("--no-batch", action="store_true",
                        help="disable same-shape request fusion")
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "restored on start)")
     shard.add_argument("--workers", type=int, default=1,
                        help="worker count of this shard's kernel pool")
-    shard.add_argument("--backend", choices=("serial", "thread", "process"),
+    shard.add_argument("--backend", choices=("serial", "thread"),
                        default="serial")
     shard.add_argument("--window", type=int, default=32,
                        help="micro-batch window (default 32)")

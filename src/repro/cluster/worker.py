@@ -341,8 +341,8 @@ class InlineShard(ShardHandle):
     (``ClusterService(shard_backend="inline")``) and the terminal rung
     of the replica degradation ladder — when a shard's respawns keep
     dying, the router rebuilds it inline from its journal so the
-    keyspace slice stays served (mirroring the kernel's ``process ->
-    thread -> serial`` ladder).  Command errors raise directly.
+    keyspace slice stays served (mirroring the kernel's ``thread ->
+    serial`` ladder).  Command errors raise directly.
     """
 
     backend = "inline"

@@ -31,10 +31,10 @@ comes up; an explicit ``name`` that is unknown or unbuildable raises.
 Resolution happens when a
 :class:`~repro.equilibration.workspace.SweepWorkspace` is constructed,
 so every layer that builds workspaces — the solo drivers,
-``sea_general``, ``solve_batch``, the sparse layout, the parallel
-kernels' per-block caches and ``SolveService`` — picks the backend up
-through the ``workspace=`` keyword every kernel call carries, with no
-API change.
+``sea_general``, ``solve_batch``, the sparse layout and
+``SolveService`` — picks the backend up through the ``workspace=``
+keyword every kernel call carries, with no API change; a pool
+kernel's row blocks inherit their owner's.
 
 Bit-identity contract
 ---------------------

@@ -25,10 +25,10 @@ pass a :class:`repro.equilibration.workspace.SweepWorkspace` that
 hoists the per-call validation, preallocates every ``(m, n)``
 temporary, and reuses the previous sweep's sort permutation — see that
 module for the bit-identity argument.  Called without one, the kernel
-runs the cold path: the reference the tests compare against, and the
-pool kernel's fallback when two dispatches want the same block
-workspace.  The two paths share the segment-selection tail below, so
-they cannot drift apart.
+runs the cold path: the reference the tests compare against, and what
+the pool kernel's blocks run when their caller passed no workspace.
+The two paths share the segment-selection tail below, so they cannot
+drift apart.
 """
 
 from __future__ import annotations

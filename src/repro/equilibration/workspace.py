@@ -50,11 +50,11 @@ Counters
 ``rows_resorted`` count per-row permutation outcomes (a bind or the
 first sweep resorts everything), ``full_resorts`` counts sweeps that
 paid the full ``O(mn log n)`` argsort, and :attr:`sort_reuse_rate` is
-the reuse ratio.  All are surfaced by the parallel kernels and
-``ServiceStats`` and recorded in ``BENCH_sweeps.json`` by
-``benchmarks/run_trajectory.py``.  :meth:`counters_extended` still
-reports the retired ``rows_skipped`` / ``perm_repairs`` keys; both
-read 0.
+the reuse ratio.  All are surfaced by ``ServiceStats`` and recorded
+in ``BENCH_sweeps.json`` by ``benchmarks/run_trajectory.py``.
+:meth:`counters_extended` adds the counters of the workspace's pool
+row blocks (:meth:`SweepWorkspace.blocks`) and still reports the
+retired ``rows_skipped`` / ``perm_repairs`` keys; both read 0.
 """
 
 from __future__ import annotations
@@ -69,6 +69,11 @@ from repro.equilibration.exact import (
 )
 
 __all__ = ["SweepWorkspace"]
+
+# Counters a row block folds into its owner (see SweepWorkspace.blocks).
+_BLOCK_COUNTERS = (
+    "sweeps", "rows_reused", "rows_resorted", "full_resorts", "binds",
+)
 
 
 class _LayoutWorkspace:
@@ -123,10 +128,10 @@ class SweepWorkspace(_LayoutWorkspace):
     automatically by ``solve_piecewise_linear(..., workspace=...)``) and
     then drives any number of sweeps over shifting breakpoints.  Binding
     is cheap when the slopes are the same object (identity) or equal in
-    content (one ``O(mn)`` compare — the case for process-pool workers
-    that receive a fresh pickle of the same matrix every dispatch);
-    only a genuinely new slope matrix re-validates and drops the cached
-    permutation.
+    content (one ``O(mn)`` compare — the case for a pool kernel's row
+    blocks, which receive a fresh slice of the same matrix every
+    dispatch); only a genuinely new slope matrix re-validates and drops
+    the cached permutation.
 
     ``m`` is a row *capacity*: the batch engine binds ``k*m`` stacked
     rows and then :meth:`retain`-s the surviving subset as problems
@@ -184,6 +189,9 @@ class SweepWorkspace(_LayoutWorkspace):
         self._counts = np.empty(self.m, dtype=np.intp)
         self._has_inactive = True
         self._zeros = np.zeros(self.m)
+        # Row blocks of a pool kernel's phases (see blocks()).
+        self._blocks: list[SweepWorkspace] = []
+        self._block_bounds = None
 
     # -- introspection ------------------------------------------------------
 
@@ -231,14 +239,57 @@ class SweepWorkspace(_LayoutWorkspace):
                 self._slopes_flat, self._flat_idx[:r]
             )
 
+    # -- pool row blocks -----------------------------------------------------
+
+    def blocks(self, bounds) -> list["SweepWorkspace"]:
+        """One workspace per ``(lo, hi)`` row block of a pool kernel's
+        phase (:class:`~repro.parallel.executor.ParallelKernel`).
+
+        This workspace owns them: they are kept while the bounds repeat,
+        so each block reuses its own sort permutation, and replaced when
+        the bounds change (a batch retirement shrinks the stacked rows).
+        They die with this workspace.
+        """
+        bounds = list(bounds)
+        if bounds != self._block_bounds:
+            self.drop_blocks()
+            self._blocks = [
+                SweepWorkspace(hi - lo, self.n, self._backend)
+                for lo, hi in bounds
+            ]
+            self._block_bounds = bounds
+        return self._blocks
+
+    def drop_blocks(self) -> None:
+        """Forget the row blocks, folding their counters into this
+        workspace's first so that :meth:`counters_extended` never goes
+        backwards.  Dispatches after a drop sweep on fresh blocks, which
+        is how a pool kernel keeps the stragglers of a failed dispatch
+        off the next dispatch's buffers."""
+        for block in self._blocks:
+            for key in _BLOCK_COUNTERS:
+                setattr(self, key, getattr(self, key) + getattr(block, key))
+        self._blocks = []
+        self._block_bounds = None
+
+    def counters_extended(self) -> dict:
+        """All counters plus the backend name, the live row blocks'
+        included."""
+        out = super().counters_extended()
+        for block in self._blocks:
+            for key in _BLOCK_COUNTERS:
+                out[key] += getattr(block, key)
+        return out
+
     # -- binding ------------------------------------------------------------
 
     def bind(self, slopes: np.ndarray) -> None:
         """Bind the workspace to a slope matrix, hoisting validation.
 
-        Same object: no-op.  Same content (fresh pickle of the same
-        matrix): adopt the new reference, keep the cached permutation.
-        New content: full re-validation, permutation dropped.
+        Same object: no-op.  Same content (a fresh slice or restack of
+        the same matrix): adopt the new reference, keep the cached
+        permutation.  New content: full re-validation, permutation
+        dropped.
         """
         if slopes is self._slopes_ref:
             return
@@ -286,9 +337,10 @@ class SweepWorkspace(_LayoutWorkspace):
         re-sort is paid.  The kept slopes are a copy and the bound
         object is forgotten, so the next :meth:`bind` accepts the
         caller's restacked survivors by content, or re-validates them if
-        the binding was another stack's (a pool kernel that split every
-        phase into blocks never bound it).  A workspace with no binding
-        that covers ``keep`` has nothing to retain.
+        the binding was another stack's.  A workspace with no binding
+        that covers ``keep`` has nothing to retain: one whose phases a
+        pool kernel split into row :meth:`blocks` was never bound, and
+        the smaller stack gives its next phase fresh blocks.
         """
         keep = np.asarray(keep, dtype=np.intp)
         if self._slopes is None or (keep.size and keep[-1] >= self._rows):

@@ -8,8 +8,8 @@ processor of the IBM 3090-600E.  Here:
   into per-processor blocks;
 * :mod:`repro.parallel.executor` provides :class:`ParallelKernel`, the
   one pool kernel: a drop-in ``kernel`` callable for the SEA solvers
-  that runs the blocks serially, on a thread pool, or on a process
-  pool;
+  that runs the blocks serially or on a thread pool, each block on a
+  row-block workspace its caller's workspace owns;
 * :mod:`repro.parallel.costmodel` is the deterministic machine model
   (operation counts + Amdahl composition with the serial
   convergence-verification phase) that regenerates the paper's speedup

@@ -17,7 +17,7 @@ per problem:
 * a metrics surface (:class:`~repro.service.metrics.ServiceStats`);
 * a fault-tolerance layer: classified errors (:mod:`repro.errors`),
   per-request deadlines and retries, worker-crash recovery with a
-  ``process -> thread -> serial`` degradation ladder, a kind+shape
+  ``thread -> serial`` degradation ladder, a kind+shape
   circuit breaker, and a deterministic fault-injection harness
   (:mod:`repro.service.faults`) that proves results stay bit-identical
   under injected chaos;

@@ -8,12 +8,6 @@ dispatches misbehave:
 ``raise``
     The dispatch raises :class:`~repro.errors.WorkerCrashError` before
     touching the pool — exercising the *service-level* retry policy.
-``kill``
-    A pool worker process is killed mid-dispatch (``os._exit`` smuggled
-    into the pool), so the real dispatch hits ``BrokenProcessPool`` —
-    exercising the *kernel-level* pool rebuild + retry path.  Falls
-    back to ``raise`` on non-process backends (threads cannot be
-    killed).
 ``delay``
     The dispatch sleeps ``delay_s`` first — exercising deadlines.
 ``corrupt``
@@ -24,9 +18,10 @@ dispatches misbehave:
 Everything is driven by one ``random.Random(seed)`` stream, so a given
 plan injects an identical fault schedule on every run — chaos you can
 put in a regression test.  The harness proves the headline guarantee:
-with a seeded plan raising/killing in >=20% of dispatches, every
+with a seeded plan raising or corrupting in >=20% of dispatches, every
 service response stays bit-identical to the fault-free serial solve
-(see ``tests/test_fault_injection.py``).
+(see ``tests/test_fault_injection.py``, which also breaks the kernel's
+pool itself to drive its rebuild and degradation ladder).
 
 Crash points — :class:`CrashPlan` — complement the kernel-level chaos
 with *process-death* chaos at the durability layer's three critical
@@ -53,10 +48,8 @@ exactly-once semantics (``tests/test_durability.py``).
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,23 +120,21 @@ class FaultPlan:
 
     Each fraction is the independent probability (per dispatch, drawn
     from the seeded stream) of that fault firing; at most one fault
-    fires per dispatch, tested in the order raise, kill, delay,
-    corrupt.  ``max_faults`` caps the *total* injected faults so a
-    bounded-retry pipeline is guaranteed to eventually see a clean
-    dispatch (``None`` = unlimited).
+    fires per dispatch, tested in the order raise, delay, corrupt.
+    ``max_faults`` caps the *total* injected faults so a bounded-retry
+    pipeline is guaranteed to eventually see a clean dispatch (``None``
+    = unlimited).
     """
 
     seed: int = 0
     raise_fraction: float = 0.0
-    kill_fraction: float = 0.0
     delay_fraction: float = 0.0
     delay_s: float = 0.05
     corrupt_fraction: float = 0.0
     max_faults: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("raise_fraction", "kill_fraction", "delay_fraction",
-                     "corrupt_fraction"):
+        for name in ("raise_fraction", "delay_fraction", "corrupt_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
@@ -170,9 +161,7 @@ class FaultyKernel:
         self.kernel = kernel
         self.plan = plan
         self._rng = random.Random(plan.seed)
-        self.injected: dict[str, int] = {
-            "raise": 0, "kill": 0, "delay": 0, "corrupt": 0,
-        }
+        self.injected: dict[str, int] = {"raise": 0, "delay": 0, "corrupt": 0}
 
     @property
     def faults_injected(self) -> int:
@@ -190,7 +179,6 @@ class FaultyKernel:
         threshold = 0.0
         for mode, fraction in (
             ("raise", plan.raise_fraction),
-            ("kill", plan.kill_fraction),
             ("delay", plan.delay_fraction),
             ("corrupt", plan.corrupt_fraction),
         ):
@@ -198,23 +186,6 @@ class FaultyKernel:
             if roll < threshold:
                 return mode
         return None
-
-    def _kill_one_worker(self) -> bool:
-        """Smuggle an ``os._exit`` into the wrapped kernel's process
-        pool so one worker dies mid-batch; the following real dispatch
-        then hits ``BrokenProcessPool`` and must recover."""
-        ensure = getattr(self.kernel, "_ensure_pool", None)
-        pool = ensure() if ensure is not None else None
-        if not isinstance(pool, ProcessPoolExecutor):
-            return False
-        try:
-            pool.submit(os._exit, 1)
-        except Exception:
-            return True  # pool already broken — the dispatch will recover
-        # Give the doomed worker a moment to die so the *next* submit
-        # observes the broken pool deterministically.
-        time.sleep(0.05)
-        return True
 
     def __call__(self, breakpoints, slopes, target, a=None, c=None,
                  timeout=None, workspace=None):
@@ -224,18 +195,7 @@ class FaultyKernel:
             raise WorkerCrashError(
                 f"injected worker crash (fault #{self.faults_injected})"
             )
-        if mode == "kill":
-            if self._kill_one_worker():
-                self.injected["kill"] += 1
-            else:
-                # Thread/serial backends have no killable workers;
-                # degrade the injection to a plain raise.
-                self.injected["raise"] += 1
-                raise WorkerCrashError(
-                    "injected worker crash (kill unavailable on "
-                    f"{getattr(self.kernel, 'backend', '?')!r} backend)"
-                )
-        elif mode == "delay":
+        if mode == "delay":
             self.injected["delay"] += 1
             time.sleep(self.plan.delay_s)
         # The workspace rides through untouched: a "corrupt" dispatch

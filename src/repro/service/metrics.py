@@ -40,12 +40,12 @@ class ServiceStats:
     kind+shape circuit breakers opening; ``breaker_rejections`` counts
     requests refused while one was open.
 
-    The sort-reuse block: ``sort_sweeps`` counts workspace-backed kernel
-    sweeps, ``sort_rows_reused`` / ``sort_rows_resorted`` count per-row
-    permutation outcomes, summed at snapshot time over the shared
-    kernel's per-block workspaces *and* the service-owned workspace
-    pairs, live or evicted (disjoint sources: a kernel never counts a
-    caller-provided workspace), so they never decrease.
+    The sort-reuse block: ``sort_sweeps`` counts workspace sweeps (one
+    per row block of a pool kernel's multi-block phase),
+    ``sort_rows_reused`` / ``sort_rows_resorted`` count per-row
+    permutation outcomes, summed at snapshot time over the
+    service-owned workspace pairs, live or evicted, with their pool row
+    blocks, so they never decrease.
     :attr:`sort_reuse_rate` is their ratio.
     ``sort_full_resorts`` counts sweeps that paid a full
     ``O(mn log n)`` argsort, and ``backend_solves`` buckets

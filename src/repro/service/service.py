@@ -955,18 +955,10 @@ class SolveService:
         self._stats.degraded_dispatches = getattr(
             self.kernel, "degraded_dispatches", 0
         )
-        # Sort-reuse counters come from disjoint sources: the shared
-        # kernel's per-block workspaces (multi-block dispatches), the
-        # service-owned pairs (handed to the drivers, which the kernel by
-        # contract never counts) and the pairs evicted so far — so a
-        # plain sum never double-counts.
-        totals = {
-            key: getattr(self.kernel, f"sort_{key}", 0) + evicted
-            for key, evicted in self._evicted_sort.items()
-        }
+        # Sort-reuse counters: the live pairs (their pool row blocks
+        # included) plus the pairs evicted so far.
+        totals = dict(self._evicted_sort)
         backend_solves = dict(self._evicted_solves)
-        for name, solves in getattr(self.kernel, "backend_solves", {}).items():
-            backend_solves[name] = backend_solves.get(name, 0) + solves
         for pair in self._workspaces.values():
             _add_sort_counters(totals, backend_solves, pair)
         for key, value in totals.items():

@@ -233,6 +233,32 @@ class TestServe:
         assert responses[0]["status"] == "ok"
         assert responses[3]["status"] == "ok"
 
+    def test_thread_pool_answers_like_one_worker(self, jsonl_stream, capsys):
+        """``--workers 2 --backend thread`` splits every phase into two
+        row blocks and answers byte for byte as one worker does (bar the
+        wall-clock ``elapsed``)."""
+        import json
+
+        answers = []
+        for flags in (["--workers", "1"],
+                      ["--workers", "2", "--backend", "thread"]):
+            code = main(["serve", "--jsonl", "--input", str(jsonl_stream),
+                         *flags])
+            assert code == 0
+            lines = [json.loads(line) for line in
+                     capsys.readouterr().out.splitlines() if line]
+            for line in lines:
+                line.pop("elapsed")
+            answers.append([json.dumps(line) for line in lines])
+        assert len(answers[0]) == 4
+        assert answers[0] == answers[1]
+
+    def test_process_backend_is_rejected(self, jsonl_stream):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--jsonl", "--input", str(jsonl_stream),
+                  "--workers", "2", "--backend", "process"])
+        assert exc.value.code == 2
+
     def test_deadline_flag_classifies_overruns(self, jsonl_stream, capsys):
         import json
 

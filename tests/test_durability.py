@@ -631,21 +631,6 @@ class TestCrashRecovery:
         self._assert_exactly_once(journal, problems)
 
 
-@pytest.mark.slow
-class TestProcessCrashAcceptance:
-    """The acceptance run on the process backend: every crash point,
-    workers killed and restarted, answers bit-identical."""
-
-    @pytest.mark.parametrize("point", CRASH_POINTS)
-    def test_kill_and_restart_process(self, tmp_path, point):
-        journal = tmp_path / "j.jsonl"
-        harness = TestCrashRecovery()
-        problems = harness._crash_run(journal, point, 1, backend="process",
-                                      workers=2)
-        harness._assert_exactly_once(journal, problems, backend="process",
-                                     workers=2)
-
-
 class TestWarmRestart:
     def test_journaled_warm_restart_beats_cold(self, tmp_path):
         """A restarted service with a snapshot reuses duals *and* sort

@@ -1,5 +1,8 @@
 """Parallel engine: partitioning, executor equivalence, dispatch counts."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from conftest import random_fixed_problem, random_sam_problem
 from repro.core.convergence import StoppingRule
 from repro.core.sea import solve_elastic, solve_fixed
 from repro.datasets.spe_data import spe_instance
+from repro.equilibration.workspace import SweepWorkspace
 from repro.parallel.executor import ParallelKernel
 from repro.parallel.partition import partition_blocks
 from repro.service import SolveService
@@ -127,11 +131,21 @@ class TestParallelKernel:
         assert kernel._pool is None  # nothing forked until first dispatch
         kernel.close()
 
-    def test_process_backend_smoke(self, rng):
-        """Process pool gives bit-identical results (slow start-up: one
-        small instance only)."""
-        problem = random_fixed_problem(rng, 6, 5)
-        baseline = solve_fixed(problem)
-        with ParallelKernel(workers=2, backend="process") as kernel:
-            result = solve_fixed(problem, kernel=kernel)
-        np.testing.assert_array_equal(result.x, baseline.x)
+    def test_block_workspaces_die_with_their_service(self, rng, monkeypatch):
+        """A pool kernel's row-block workspaces belong to the caller's
+        workspace pair: once the service is gone, so are they."""
+        built = []
+        init = SweepWorkspace.__init__
+
+        def tracked_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(SweepWorkspace, "__init__", tracked_init)
+        svc = SolveService(workers=2, backend="thread")
+        assert svc.solve(random_fixed_problem(rng, 12, 10), eps=1e-6).ok
+        svc.close()
+        del svc
+        gc.collect()
+        assert len(built) > 2  # the service's pair and its row blocks
+        assert [ref for ref in built if ref() is not None] == []

@@ -669,6 +669,40 @@ class TestServiceWorkspaces:
                     ), (n, previous, current)
                 previous = current
 
+    def test_pool_block_sweeps_count_once(self, rng):
+        """Under a two-worker thread pool each row-block sweep counts
+        once in ``sort_sweeps`` and once in ``backend_solves``, the
+        ``sort_*`` totals only grow, and as many rows get sorted as with
+        one worker.  The traffic: a converging square solve, then a
+        batched drain whose members retire at different sweeps (each
+        retirement re-splits the stacked rows into new blocks)."""
+        keys = ("sort_sweeps", "sort_rows_reused", "sort_rows_resorted",
+                "sort_full_resorts")
+        square = random_sam_problem(rng, 12)
+        batch = [random_fixed_problem(rng, 6, 5, weight_spread=spread)
+                 for spread in (1.0, 10.0, 100.0)]
+        rows_sorted = {}
+        for workers, backend in ((1, "serial"), (2, "thread")):
+            with SolveService(workers=workers, backend=backend,
+                              warm_start=False) as service:
+                snapshots = [service.stats()]
+                assert service.solve(square, eps=1e-8).result.iterations > 1
+                snapshots.append(service.stats())
+                for problem in batch:
+                    service.submit(problem, eps=1e-8)
+                responses = service.drain()
+                snapshots.append(service.stats())
+            assert all(r.ok and r.batched for r in responses)
+            assert len({r.result.iterations for r in responses}) == 3
+            for stats in snapshots:
+                assert stats.sort_sweeps == sum(stats.backend_solves.values())
+            for before, after in zip(snapshots, snapshots[1:]):
+                for key in keys:
+                    assert getattr(after, key) > getattr(before, key), key
+            last = snapshots[-1]
+            rows_sorted[workers] = last.sort_rows_reused + last.sort_rows_resorted
+        assert rows_sorted[1] == rows_sorted[2]
+
     def test_batch_workspaces_bit_identical_to_serial(self, rng):
         """Fused batches over a retained k-stacked pair match the
         serial cold path member by member."""
