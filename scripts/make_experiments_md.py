@@ -18,6 +18,7 @@ import platform
 import sys
 import time
 
+from repro.equilibration.backends import get_backend
 from repro.harness.experiments import (
     run_table1, run_table2, run_table3, run_table4, run_table5,
     run_table6, run_table7, run_table8, run_table9,
@@ -35,8 +36,10 @@ DESIGN.md.
 
 **Reading the numbers.** Absolute CPU seconds are *not* comparable:
 the paper ran VS FORTRAN on one IBM 3090-600E processor in 1990; this
-reproduction runs vectorized NumPy on a modern core (roughly three
-orders of magnitude faster on these kernels).  The reproduction targets
+reproduction runs vectorized NumPy, with the bit-identical compiled
+sweep kernel wherever a C compiler exists, on a modern core (roughly
+three orders of magnitude faster on these kernels; the generation line
+below names the kernel).  The reproduction targets
 are the *shape* relations — who wins, by what factor, what grows with
 what — each asserted by the shape checks below.  Speedup tables (6, 9)
 come from the calibrated machine model over measured phase counts; see
@@ -75,6 +78,7 @@ def main() -> None:
     parts.append(
         f"_Generated {datetime.date.today().isoformat()} on "
         f"{platform.machine()} / Python {platform.python_version()}"
+        f" / `{get_backend().name}` kernel"
         f"{' at full paper scale' if args.full else ' at scaled-down size'}"
         f" (`python scripts/make_experiments_md.py"
         f"{' --full' if args.full else ''}`)._\n"

@@ -952,11 +952,23 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_info() -> int:
+    import os
+
     import repro
+    from repro.equilibration.backends import BACKEND_ENV, get_backend
     from repro.harness import EXPERIMENTS
 
     print(f"repro {repro.__version__} — splitting equilibration algorithm")
     print("experiments:", ", ".join(sorted(EXPERIMENTS)))
+    forced = os.environ.get(BACKEND_ENV, "").strip()
+    name = get_backend().name
+    print(f"kernel backend: {name}"
+          + (f" ({BACKEND_ENV}={forced})" if forced else ""))
+    if name != "cnative":
+        try:
+            get_backend("cnative")
+        except RuntimeError as exc:  # names the recorded build failure
+            print(exc)
     return 0
 
 

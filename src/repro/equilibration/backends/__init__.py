@@ -9,25 +9,30 @@ without touching the algorithm — this package is that seam.
 Backends
 --------
 ``numpy``
-    The reference implementation (default).  Literally the same array
-    code the cold kernel runs; every other backend is bit-identity
-    gated against it.
+    The reference implementation.  Literally the same array code the
+    cold kernel runs; every other backend is bit-identity gated against
+    it, and it is what the default falls back to.
 ``cnative``
     A small C kernel compiled on demand with the system C compiler
-    (``cc``/``gcc``) and loaded through :mod:`ctypes`.  Compiled with
-    ``-ffp-contract=off`` so no fused-multiply-add can change rounding:
-    the per-row scan performs the very same IEEE-754 double operations
-    in the very same order as the NumPy pipeline, hence bit-identical
-    results.  Unavailable when no C compiler is on ``PATH``.
+    (``cc``/``gcc``/``clang``) and loaded through :mod:`ctypes`.
+    Compiled with ``-ffp-contract=off`` so no fused-multiply-add can
+    change rounding: the per-row scan performs the very same IEEE-754
+    double operations in the very same order as the NumPy pipeline,
+    hence bit-identical results.  The default wherever it builds;
+    unavailable when no C compiler is on ``PATH``.
 
 Selection
 ---------
 :func:`get_backend` resolves, in order: an explicit ``name`` argument,
-the ``REPRO_KERNEL_BACKEND`` environment variable, then the ``numpy``
-default.  The special name ``auto`` picks the fastest available backend
-(``cnative`` > ``numpy``).  An environment-variable name that is
-unknown or cannot be built falls back to ``numpy``, so a service always
-comes up; an explicit ``name`` that is unknown or unbuildable raises.
+the ``REPRO_KERNEL_BACKEND`` environment variable, then the ``auto``
+default.  ``auto`` picks the fastest available backend (``cnative`` >
+``numpy``): the compiled kernel wherever a C compiler exists, the
+reference otherwise, so the default never raises.
+``REPRO_KERNEL_BACKEND=numpy`` forces the reference.  An
+environment-variable name that is unknown or cannot be built falls back
+to ``numpy``, so a service always comes up; an explicit ``name`` that
+is unknown or unbuildable raises.  A failed build is recorded once and
+not retried in the process; the explicit ``name`` error quotes it.
 Resolution happens when a
 :class:`~repro.equilibration.workspace.SweepWorkspace` is constructed,
 so every layer that builds workspaces — the solo drivers,
@@ -60,7 +65,8 @@ __all__ = [
     "register_backend",
 ]
 
-#: Environment variable naming the default backend ("auto" allowed).
+#: Environment variable overriding the ``auto`` default (``numpy``
+#: forces the reference).
 BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 
 #: Preference order for ``auto``: compiled first, reference last.
@@ -123,16 +129,17 @@ def _instantiate(name: str) -> KernelBackend | None:
 
 
 def get_backend(name: str | None = None) -> KernelBackend:
-    """Resolve a backend by name, env var, or the ``numpy`` default.
+    """Resolve a backend by name, env var, or the ``auto`` default.
 
     An explicitly requested backend that is unknown or cannot be built
     raises (the caller asked for it by name and should hear why);
-    ``auto`` and the env-var path degrade silently to the best
-    available one, ending at ``numpy`` which always exists.
+    ``auto`` (the default: ``cnative`` where a C compiler exists) and
+    the env-var path degrade silently to the best available one, ending
+    at ``numpy`` which always exists.
     """
     explicit = name is not None
     if name is None:
-        name = os.environ.get(BACKEND_ENV, "").strip() or "numpy"
+        name = os.environ.get(BACKEND_ENV, "").strip() or "auto"
     if name == "auto":
         for candidate in _AUTO_ORDER:
             backend = _instantiate(candidate)

@@ -25,10 +25,12 @@ shape:
   is re-applied with one ``np.take`` and verified with an ``O(mn)``
   pass; only rows that went out of order are re-``argsort``-ed.
 
-The gather/verify pass and the selection tail are delegated to a
-:mod:`repro.equilibration.backends` backend (``numpy`` reference or the
-compiled ``cnative``), chosen per workspace or via
-``REPRO_KERNEL_BACKEND``.
+The gather/verify pass, the stale-row resort and the selection tail
+are delegated to a :mod:`repro.equilibration.backends` backend, chosen
+per workspace or via ``REPRO_KERNEL_BACKEND``.  By default that is the
+compiled ``cnative`` wherever a C compiler exists and the ``numpy``
+reference otherwise; ``REPRO_KERNEL_BACKEND=numpy`` forces the
+reference.
 
 Bit-identity
 ------------
@@ -139,7 +141,8 @@ class SweepWorkspace(_LayoutWorkspace):
 
     ``backend`` is a backend name, a
     :class:`~repro.equilibration.backends.KernelBackend` instance, or
-    ``None`` for the ``REPRO_KERNEL_BACKEND``/``numpy`` default.
+    ``None`` for ``REPRO_KERNEL_BACKEND`` or, unset, the ``auto``
+    default (``cnative`` where it builds, else ``numpy``).
     """
 
     def __init__(

@@ -144,3 +144,21 @@ def reference_fixed_solution(problem: FixedTotalsProblem) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def no_c_compiler(monkeypatch):
+    """A process with no C compiler on ``PATH``: the kernel-backend
+    registry starts empty, so ``cnative`` is probed afresh and fails.
+
+    Both memo dicts are reset, or a ``cnative`` built earlier in the
+    session would still answer; the unset env var leaves the default
+    to ``auto``.
+    """
+    from repro.equilibration import backends as bk
+    from repro.equilibration.backends import cnative
+
+    monkeypatch.delenv(bk.BACKEND_ENV, raising=False)
+    monkeypatch.setattr(cnative, "_find_compiler", lambda: None)
+    monkeypatch.setattr(bk, "_INSTANCES", {})
+    monkeypatch.setattr(bk, "_UNAVAILABLE", {})

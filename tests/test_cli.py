@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.equilibration.backends import BACKEND_ENV, available_backends
 from repro.io import read_table_csv, write_table_csv
 
 
@@ -273,11 +274,29 @@ class TestServe:
 
 
 class TestOtherCommands:
-    def test_info(self, capsys):
+    def test_info(self, capsys, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "repro" in out
         assert "table9" in out
+        expected = "cnative" if available_backends()["cnative"] else "numpy"
+        assert f"kernel backend: {expected}\n" in out
+        monkeypatch.setenv(BACKEND_ENV, "numpy")
+        assert main(["info"]) == 0
+        out = capsys.readouterr().out
+        assert f"kernel backend: numpy ({BACKEND_ENV}=numpy)\n" in out
+
+    def test_info_names_why_the_compiled_kernel_is_missing(
+        self, capsys, no_c_compiler
+    ):
+        assert main(["info"]) == 0
+        out = capsys.readouterr().out
+        assert "kernel backend: numpy\n" in out
+        assert (
+            "kernel backend 'cnative' is unavailable: RuntimeError: no C"
+            " compiler (cc/gcc/clang) on PATH\n" in out
+        )
 
     def test_experiment(self, capsys):
         assert main(["experiment", "table4"]) == 0

@@ -141,11 +141,9 @@ class TestWorkspaceAdversarial:
     seeds, and NaN poisoning.
     """
 
-    def _sweep_pair(self, base, slopes, target, mus):
+    def _sweep_pair(self, base, slopes, target, mus, backend):
         """(cold, warm) lam series over the same dual walk."""
-        from repro.equilibration.workspace import SweepWorkspace
-
-        ws = SweepWorkspace(*base.shape)
+        ws = SweepWorkspace(*base.shape, backend=backend)
         cold = [
             solve_piecewise_linear(base - mu[None, :], slopes, target)
             for mu in mus
@@ -172,139 +170,131 @@ class TestWorkspaceAdversarial:
         steps[4] = rng.uniform(-10.0, 10.0, n)  # the invalidating step
         mus = np.cumsum(steps, axis=0)
 
-        cold, warm, ws = self._sweep_pair(base, slopes, target, mus)
-        for c, w in zip(cold, warm):
-            np.testing.assert_array_equal(c, w)
-        assert ws.rows_reused > 0
-        assert ws.rows_resorted > m  # first sweep plus the invalidation
+        for backend in BACKENDS:
+            cold, warm, ws = self._sweep_pair(base, slopes, target, mus, backend)
+            for c, w in zip(cold, warm):
+                np.testing.assert_array_equal(c, w, err_msg=backend)
+            assert ws.rows_reused > 0
+            assert ws.rows_resorted > m  # first sweep plus the invalidation
 
     def test_adaptive_resort_both_paths(self, rng):
         # One step perturbs a single row (subset resort: 2*bad < rows);
-        # the next reorders every row (full-matrix argsort path).  Both
-        # must reproduce the cold kernel exactly.
+        # the next reorders every row (full-matrix argsort path under
+        # numpy; cnative merges every stale row either way).  Both must
+        # reproduce the cold kernel exactly.
         m, n = 12, 10
         base = rng.uniform(-5.0, 5.0, (m, n))
         slopes = rng.uniform(0.5, 2.0, (m, n))
         target = rng.uniform(5.0, 20.0, m)
-
-        from repro.equilibration.workspace import SweepWorkspace
-
-        ws = SweepWorkspace(m, n)
         mu = np.zeros(n)
-        lam_w = solve_piecewise_linear(
-            ws.shift(base, mu), slopes, target, workspace=ws
-        )
-        np.testing.assert_array_equal(
-            lam_w, solve_piecewise_linear(base - mu[None, :], slopes, target)
-        )
-
         # Subset path: swap two breakpoints in one row only, so only a
         # strict subset of rows is resorted.
         base2 = base.copy()
         base2[3, [0, 1]] = base2[3, [1, 0]] + np.array([1.0, -1.0])
-        before = ws.rows_resorted
-        lam_w = solve_piecewise_linear(
-            ws.shift(base2, mu), slopes, target, workspace=ws
-        )
-        np.testing.assert_array_equal(
-            lam_w, solve_piecewise_linear(base2 - mu[None, :], slopes, target)
-        )
-        assert 0 < ws.rows_resorted - before < m
-
         # Full path: negate everything, reversing every row's order.
         base3 = -base2
-        before = ws.rows_resorted
-        lam_w = solve_piecewise_linear(
-            ws.shift(base3, mu), slopes, target, workspace=ws
-        )
-        np.testing.assert_array_equal(
-            lam_w, solve_piecewise_linear(base3 - mu[None, :], slopes, target)
-        )
-        assert ws.rows_resorted - before == m
+
+        for backend in BACKENDS:
+            ws = SweepWorkspace(m, n, backend=backend)
+            resorted = []
+            for b in (base, base2, base3):
+                before = ws.rows_resorted
+                lam_w = solve_piecewise_linear(
+                    ws.shift(b, mu), slopes, target, workspace=ws
+                )
+                np.testing.assert_array_equal(
+                    lam_w,
+                    solve_piecewise_linear(b - mu[None, :], slopes, target),
+                    err_msg=backend,
+                )
+                resorted.append(ws.rows_resorted - before)
+            assert 0 < resorted[1] < m
+            assert resorted[2] == m
 
     def test_wrong_seed_costs_resort_not_correctness(self, rng):
-        from repro.equilibration.workspace import SweepWorkspace
-
         m, n = 9, 11
         base = rng.uniform(-5.0, 5.0, (m, n))
         slopes = rng.uniform(0.5, 2.0, (m, n))
         target = rng.uniform(5.0, 20.0, m)
         mu = rng.uniform(-1.0, 1.0, n)
+        cold = solve_piecewise_linear(base - mu[None, :], slopes, target)
 
-        ws = SweepWorkspace(m, n)
-        # Reversed identity is (almost surely) wrong for random data.
-        ws.seed_permutation(
-            np.tile(np.arange(n)[::-1], (m, 1)).astype(np.int64)
-        )
-        lam_w = solve_piecewise_linear(
-            ws.shift(base, mu), slopes, target, workspace=ws
-        )
-        np.testing.assert_array_equal(
-            lam_w, solve_piecewise_linear(base - mu[None, :], slopes, target)
-        )
-        assert ws.rows_resorted > 0
+        for backend in BACKENDS:
+            ws = SweepWorkspace(m, n, backend=backend)
+            # Reversed identity is (almost surely) wrong for random data.
+            ws.seed_permutation(
+                np.tile(np.arange(n)[::-1], (m, 1)).astype(np.int64)
+            )
+            lam_w = solve_piecewise_linear(
+                ws.shift(base, mu), slopes, target, workspace=ws
+            )
+            np.testing.assert_array_equal(lam_w, cold, err_msg=backend)
+            assert ws.rows_resorted > 0
 
     def test_good_seed_survives_bind(self, rng):
         """A donor's final permutation carries into a fresh workspace's
         first sweep (the service's warm-start perm round-trip)."""
-        from repro.equilibration.workspace import SweepWorkspace
-
         m, n = 9, 11
         base = rng.uniform(-5.0, 5.0, (m, n))
         slopes = rng.uniform(0.5, 2.0, (m, n))
         target = rng.uniform(5.0, 20.0, m)
         mu = rng.uniform(-1.0, 1.0, n)
+        cold = solve_piecewise_linear(base - mu[None, :], slopes, target)
 
-        donor = SweepWorkspace(m, n)
-        lam_d = solve_piecewise_linear(
-            donor.shift(base, mu), slopes, target, workspace=donor
-        )
-        fresh = SweepWorkspace(m, n)
-        fresh.seed_permutation(donor.permutation())
-        lam_f = solve_piecewise_linear(
-            fresh.shift(base, mu), slopes, target, workspace=fresh
-        )
-        np.testing.assert_array_equal(lam_d, lam_f)
-        assert fresh.rows_resorted == 0  # the seed answered every row
-        assert fresh.rows_reused == m
+        for backend in BACKENDS:
+            donor = SweepWorkspace(m, n, backend=backend)
+            lam_d = solve_piecewise_linear(
+                donor.shift(base, mu), slopes, target, workspace=donor
+            )
+            fresh = SweepWorkspace(m, n, backend=backend)
+            fresh.seed_permutation(donor.permutation())
+            lam_f = solve_piecewise_linear(
+                fresh.shift(base, mu), slopes, target, workspace=fresh
+            )
+            np.testing.assert_array_equal(lam_d, cold, err_msg=backend)
+            np.testing.assert_array_equal(lam_f, cold, err_msg=backend)
+            assert fresh.rows_resorted == 0  # the seed answered every row
+            assert fresh.rows_reused == m
 
     def test_nan_poisoning_raises_like_cold(self, rng):
         """NaN fails every comparison, so the validity check resorts and
         then raises exactly the cold kernel's error."""
-        from repro.equilibration.workspace import SweepWorkspace
-
         m, n = 6, 8
         base = rng.uniform(-5.0, 5.0, (m, n))
         slopes = rng.uniform(0.5, 2.0, (m, n))
         target = rng.uniform(5.0, 20.0, m)
-        ws = SweepWorkspace(m, n)
-        solve_piecewise_linear(
-            ws.shift(base, np.zeros(n)), slopes, target, workspace=ws
-        )
         # One NaN cell: the row keeps finite candidates, so both paths
         # succeed — the workspace must resort the poisoned row (NaN
         # fails the stable-order check) and still match cold exactly.
         bad = base.copy()
         bad[2, 3] = np.nan
-        before = ws.rows_resorted
-        lam_w = solve_piecewise_linear(
-            ws.shift(bad, np.zeros(n)), slopes, target, workspace=ws
-        )
-        np.testing.assert_array_equal(
-            lam_w, solve_piecewise_linear(bad, slopes, target)
-        )
-        assert ws.rows_resorted > before
-
         # A fully-NaN row has no finite candidate: both paths raise the
         # same error.
-        bad[2] = np.nan
-        with pytest.raises(ValueError) as warm_err:
+        dead = bad.copy()
+        dead[2] = np.nan
+        with pytest.raises(ValueError) as cold_err:
+            solve_piecewise_linear(dead, slopes, target)
+
+        for backend in BACKENDS:
+            ws = SweepWorkspace(m, n, backend=backend)
             solve_piecewise_linear(
+                ws.shift(base, np.zeros(n)), slopes, target, workspace=ws
+            )
+            before = ws.rows_resorted
+            lam_w = solve_piecewise_linear(
                 ws.shift(bad, np.zeros(n)), slopes, target, workspace=ws
             )
-        with pytest.raises(ValueError) as cold_err:
-            solve_piecewise_linear(bad, slopes, target)
-        assert str(warm_err.value) == str(cold_err.value)
+            np.testing.assert_array_equal(
+                lam_w, solve_piecewise_linear(bad, slopes, target),
+                err_msg=backend,
+            )
+            assert ws.rows_resorted > before
+
+            with pytest.raises(ValueError) as warm_err:
+                solve_piecewise_linear(
+                    ws.shift(dead, np.zeros(n)), slopes, target, workspace=ws
+                )
+            assert str(warm_err.value) == str(cold_err.value)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_sparse_nan_row_raises_like_dense(self, rng, backend):

@@ -55,9 +55,33 @@ def compiled_backends():
 
 
 class TestRegistry:
-    def test_default_is_numpy(self, monkeypatch):
+    def test_default_is_auto(self, monkeypatch):
+        """Unset, the default is the compiled kernel wherever it builds;
+        ``REPRO_KERNEL_BACKEND=numpy`` still forces the reference."""
         monkeypatch.delenv(BACKEND_ENV, raising=False)
+        expected = "cnative" if AVAILABLE["cnative"] else "numpy"
+        assert get_backend().name == expected
+        assert SweepWorkspace(3, 4).backend_name == expected
+        monkeypatch.setenv(BACKEND_ENV, "numpy")
         assert get_backend().name == "numpy"
+        assert SweepWorkspace(3, 4).backend_name == "numpy"
+
+    def test_default_falls_back_to_numpy_without_compiler(
+        self, no_c_compiler, rng
+    ):
+        assert get_backend().name == "numpy"
+        assert get_backend("auto").name == "numpy"
+        ws = SweepWorkspace(3, 4)
+        assert ws.backend_name == "numpy"
+        b = rng.uniform(-5.0, 5.0, (3, 4))
+        s = rng.uniform(0.5, 2.0, (3, 4))
+        target = rng.uniform(5.0, 20.0, 3)
+        np.testing.assert_array_equal(
+            solve_piecewise_linear(b, s, target, workspace=ws),
+            solve_piecewise_linear(b, s, target),
+        )
+        with pytest.raises(RuntimeError, match="unavailable: .*no C compiler"):
+            get_backend("cnative")
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
