@@ -20,7 +20,8 @@ speak one protocol: every command is dispatched by
 :func:`~repro.cluster.worker.run_op`, every replica announces itself
 with the hello :func:`~repro.cluster.worker.shard_hello` builds, and
 the TCP hop carries the write-ahead journal's records
-(:func:`~repro.service.journal.response_to_record`).
+(:func:`~repro.service.journal.request_to_record`,
+:func:`~repro.service.journal.response_to_record`).
 """
 
 from repro.cluster.cluster import ClusterService, ClusterStats

@@ -13,12 +13,14 @@ The protocol is the shard command table of
 :mod:`repro.cluster.worker` (:func:`~repro.cluster.worker.run_op`) as
 JSON lines: ``{"op": ..., "args": [...]}`` goes out, one ``{"ok":
 value}`` or ``{"error": [kind, message]}`` frame comes back, and the
-router decodes ``value`` by the op it sent.  Payloads travel in the
-write-ahead journal's internal format — requests as
-:func:`~repro.service.wire.request_to_jsonable`, responses as
-:func:`~repro.service.journal.response_to_record` dicts, non-finite
-floats as the ``NaN``/``Infinity`` tokens the journal itself writes —
-so nothing the router re-delivers is rounded or dropped on the way.
+router decodes ``value`` by the op it sent.  Payloads are the
+write-ahead journal's internal records — requests as
+:func:`~repro.service.journal.request_to_record`, responses as
+:func:`~repro.service.journal.response_to_record` dicts, every array
+as its raw bytes — so nothing the router re-delivers is rounded or
+dropped on the way, and nothing the shard decodes differs by a bit
+from what the router sent.  Neither side negotiates a version: a
+router and its ``shard-serve`` hosts must run the same one.
 The hop adds one crucial thing, **synchronous journal shipping**:
 
 * the remote service's :class:`~repro.service.journal.Journal` is
@@ -68,11 +70,12 @@ from repro.cluster.worker import (
 )
 from repro.service.journal import (
     Journal,
+    request_from_record,
+    request_to_record,
     response_from_record,
     response_to_record,
 )
 from repro.service.metrics import ServiceStats
-from repro.service.wire import request_from_jsonable, request_to_jsonable
 
 __all__ = ["NetShard", "ShardServer"]
 
@@ -302,7 +305,7 @@ class NetShard(ShardHandle):
         if op == "submit":
             request = args[0]
             args = (
-                request_to_jsonable(request), getattr(request, "_order", 0)
+                request_to_record(request), getattr(request, "_order", 0)
             )
         self._op = op
         try:
@@ -509,7 +512,7 @@ class ShardServer:
         """One wire command: decode its arguments, run it through the
         shared command table, encode its result."""
         if op == "submit":
-            request = request_from_jsonable(args[0])
+            request = request_from_record(args[0])
             request._order = args[1]
             args = [request]
         result = run_op(self.service, op, args)

@@ -11,16 +11,25 @@ a JSONL file of two record types::
 so at any instant the set of *unanswered* requests (request record, no
 response record) is exactly the work a crashed service lost, and the
 set of answered ones carries the full responses — duals included — at
-bit-exact float fidelity (Python's ``json`` round-trips ``float64``
-through ``repr``, and non-finite values are written as the JSON
-extensions ``NaN``/``Infinity`` the stdlib parses back).
+bit-exact fidelity.  Every array in a record (the problem's ``x0``,
+``gamma``, totals and mask; the result's ``x``, ``s``, ``d``, ``lam``,
+``mu``, and its ``residual`` and ``objective`` as 0-d arrays) is
+written by :func:`repro.io.pack_array` as its raw C-order bytes::
+
+    "x0": {"dtype": "<f8", "shape": [3, 4], "b64": "AAAAAAAA8D8..."}
+
+so every bit of every value survives, a ``NaN``'s sign and payload
+included.  Base64 holds no line break, so a record stays one line.
+Journals written before arrays were packed hold nested lists (and
+scalar floats) in those places; the decoders still read them.
 
 This record format is the one internal format of the stack: the
 router's replica of a remote shard's journal is a :class:`Journal` fed
 the shipped lines verbatim (:meth:`Journal.append_line`), and the
-network shard wire carries responses as :func:`response_to_record`
-dicts.  Strict JSON, with its lossy non-finite sidecar, lives only at
-the public edge (:mod:`repro.service.wire`).
+network shard wire carries requests as :func:`request_to_record` and
+responses as :func:`response_to_record` dicts.  Strict JSON, with its
+lossy non-finite sidecar, lives only at the public edge
+(:mod:`repro.service.wire`).
 
 Recovery (:func:`replay`, used by ``SolveService.recover``) returns the
 unanswered requests in their original submission order plus the
@@ -48,6 +57,7 @@ import numpy as np
 
 from repro.core.result import SolveResult
 from repro.errors import DuplicateRequestError, InvalidRequestError
+from repro.io import canonical_array, pack_array, unpack_array
 from repro.service.request import SolveRequest, SolveResponse
 from repro.service.wire import request_from_jsonable, request_to_jsonable
 
@@ -56,6 +66,8 @@ __all__ = [
     "replay",
     "replay_full",
     "derive_request_id",
+    "request_to_record",
+    "request_from_record",
     "response_to_record",
     "response_from_record",
 ]
@@ -69,18 +81,50 @@ def derive_request_id(request: SolveRequest, seq: int) -> str:
     journal-global ``seq`` suffix keeps legitimately repeated payloads
     distinct — dedup is only *enforced* for client-supplied ids, which
     are the ones a retrying client reuses on purpose.
+
+    The digest is SHA-1 over the sorted JSON of the request record with
+    each array replaced by ``[dtype, shape]``, then over each array's
+    raw C-order bytes in the order the record lists them: equal content
+    gives one id whatever the arrays' memory layout.
     """
-    payload = json.dumps(request_to_jsonable(request), sort_keys=True)
-    digest = hashlib.sha1(payload.encode()).hexdigest()[:12]
-    return f"{digest}-{seq}"
+    arrays: list[np.ndarray] = []
+
+    def header(a) -> list:
+        a = canonical_array(a)
+        arrays.append(a)
+        return [a.dtype.str, list(a.shape)]
+
+    digest = hashlib.sha1(
+        json.dumps(request_to_jsonable(request, header), sort_keys=True)
+        .encode()
+    )
+    for a in arrays:
+        digest.update(a)
+    return f"{digest.hexdigest()[:12]}-{seq}"
 
 
-def _maybe_list(arr) -> list | None:
-    return None if arr is None else np.asarray(arr).tolist()
+def request_to_record(request: SolveRequest) -> dict:
+    """The internal request encoding: the fields of
+    :func:`~repro.service.wire.request_to_jsonable`, arrays packed."""
+    return request_to_jsonable(request, pack_array)
 
 
-def _maybe_array(obj, ndmin: int = 1) -> np.ndarray | None:
-    return None if obj is None else np.array(obj, dtype=np.float64, ndmin=ndmin)
+def request_from_record(obj: dict) -> SolveRequest:
+    """Inverse of :func:`request_to_record`; also reads the nested-list
+    requests of journals written before arrays were packed."""
+    return request_from_jsonable(obj, unpack_array)
+
+
+def _maybe_pack(arr) -> dict | None:
+    return None if arr is None else pack_array(arr)
+
+
+def _maybe_array(obj) -> np.ndarray | None:
+    return None if obj is None else unpack_array(obj, np.float64)
+
+
+def _scalar(obj) -> float:
+    return float(unpack_array(obj, np.float64))
 
 
 def _result_to_record(result: SolveResult) -> dict:
@@ -89,20 +133,20 @@ def _result_to_record(result: SolveResult) -> dict:
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
         "inner_iterations": int(result.inner_iterations),
-        "residual": float(result.residual),
-        "objective": float(result.objective),
+        "residual": pack_array(result.residual),
+        "objective": pack_array(result.objective),
         "elapsed": float(result.elapsed),
-        "x": _maybe_list(result.x),
-        "s": _maybe_list(result.s),
-        "d": _maybe_list(result.d),
-        "lam": _maybe_list(result.lam),
-        "mu": _maybe_list(result.mu),
+        "x": _maybe_pack(result.x),
+        "s": _maybe_pack(result.s),
+        "d": _maybe_pack(result.d),
+        "lam": _maybe_pack(result.lam),
+        "mu": _maybe_pack(result.mu),
     }
 
 
 def _result_from_record(rec: dict) -> SolveResult:
     return SolveResult(
-        x=_maybe_array(rec["x"], ndmin=2),
+        x=_maybe_array(rec["x"]),
         s=_maybe_array(rec["s"]),
         d=_maybe_array(rec["d"]),
         lam=_maybe_array(rec["lam"]),
@@ -110,8 +154,8 @@ def _result_from_record(rec: dict) -> SolveResult:
         converged=rec["converged"],
         iterations=rec["iterations"],
         inner_iterations=rec.get("inner_iterations", 0),
-        residual=rec["residual"],
-        objective=rec["objective"],
+        residual=_scalar(rec["residual"]),
+        objective=_scalar(rec["objective"]),
         elapsed=rec["elapsed"],
         algorithm=rec["algorithm"],
     )
@@ -292,7 +336,7 @@ class Journal:
             "type": "request",
             "id": request.id,
             "seq": getattr(request, "_order", self.request_records),
-            "request": request_to_jsonable(request),
+            "request": request_to_record(request),
         }
         self._write(json.dumps(obj, separators=(",", ":")), obj)
 
@@ -430,7 +474,7 @@ def replay_full(
     for obj, _ in _scan(path):
         rid = obj["id"]
         if obj["type"] == "request":
-            request = request_from_jsonable(obj["request"])
+            request = request_from_record(obj["request"])
             request.id = rid
             request._order = obj.get("seq", len(requests))
             requests[rid] = request

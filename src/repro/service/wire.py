@@ -34,11 +34,15 @@ A line that cannot even be decoded into a request yields a
 stream; :func:`error_line` turns it into an
 ``error.kind: "invalid-request"`` response carrying the line number.
 
-This response codec is for clients only: it rounds ``elapsed`` and
-drops the duals.  Internal hops — the write-ahead journal, replica
+This codec, with its defaults, is the public edge's only: the response
+side rounds ``elapsed`` and drops the duals, and the request side reads
+and writes arrays as nested lists only (a packed array object is an
+``invalid-request``).  Internal hops — the write-ahead journal, replica
 shipping and the router↔shard wire — carry the full-fidelity records
-of :mod:`repro.service.journal` instead, and need no sidecar.  The
-request codec (:func:`request_to_jsonable`) is shared by every hop.
+of :mod:`repro.service.journal` instead, and need no sidecar: requests
+as :func:`~repro.service.journal.request_to_record` (these request
+fields, arrays packed as raw bytes), responses as
+:func:`~repro.service.journal.response_to_record`.
 """
 
 from __future__ import annotations
@@ -154,8 +158,9 @@ def _coerce_id(rid) -> str | None:
     )
 
 
-def request_from_jsonable(obj: dict) -> SolveRequest:
-    """Decode one request object."""
+def request_from_jsonable(obj: dict, decode_array=np.asarray) -> SolveRequest:
+    """Decode one request object (``decode_array`` as in
+    :func:`repro.io.problem_from_jsonable`)."""
     if not isinstance(obj, dict):
         raise InvalidRequestError(
             f"request must be a JSON object, got {type(obj).__name__}"
@@ -163,7 +168,7 @@ def request_from_jsonable(obj: dict) -> SolveRequest:
     if "problem" not in obj:
         raise InvalidRequestError("request is missing the 'problem' payload")
     return SolveRequest(
-        problem=problem_from_jsonable(obj["problem"]),
+        problem=problem_from_jsonable(obj["problem"], decode_array),
         id=_coerce_id(obj.get("id")),
         eps=obj.get("eps"),
         max_iterations=obj.get("max_iterations"),
@@ -177,11 +182,14 @@ def request_from_jsonable(obj: dict) -> SolveRequest:
     )
 
 
-def request_to_jsonable(request: SolveRequest) -> dict:
-    """Encode a request (the inverse of :func:`request_from_jsonable`)."""
+def request_to_jsonable(
+    request: SolveRequest, encode_array=np.ndarray.tolist
+) -> dict:
+    """Encode a request (the inverse of :func:`request_from_jsonable`;
+    ``encode_array`` as in :func:`repro.io.problem_to_jsonable`)."""
     obj: dict = {
         "id": request.id,
-        "problem": problem_to_jsonable(request.problem),
+        "problem": problem_to_jsonable(request.problem, encode_array),
         "warm_start": request.warm_start,
         "batch": request.batchable,
         "engine": request.engine,

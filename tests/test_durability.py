@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import pathlib
 import pickle
+import shutil
 import signal
 import subprocess
 import sys
@@ -23,7 +25,12 @@ import pytest
 from conftest import random_fixed_problem, random_sam_problem
 
 from repro.core.api import solve
-from repro.core.problems import FixedTotalsProblem
+from repro.core.problems import (
+    ElasticProblem,
+    FixedTotalsProblem,
+    GeneralProblem,
+    SAMProblem,
+)
 from repro.errors import DuplicateRequestError, OverloadedError
 from repro.io import problem_to_jsonable
 from repro.service import (
@@ -37,10 +44,67 @@ from repro.service.journal import (
     Journal,
     derive_request_id,
     replay,
+    replay_full,
     response_from_record,
     response_to_record,
 )
 from repro.service.request import SolveRequest, SolveResponse
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+# A sign-negative quiet NaN with a payload: JSON text writes it as
+# ``NaN`` and reads back a positive NaN without the payload.
+NEG_NAN = float(
+    np.array([0xFFF8_0000_0000_BEEF], dtype=np.uint64).view(np.float64)[0]
+)
+SPECIALS = (NEG_NAN, -0.0, math.inf, -math.inf)
+PROBLEM_ARRAYS = ("x0", "gamma", "s0", "d0", "alpha", "beta", "mask",
+                  "G", "A", "B")
+RESULT_ARRAYS = ("x", "s", "d", "lam", "mu")
+
+
+def special_problem(kind, rng):
+    """A small problem whose masked-out ``x0``/``gamma`` cells hold every
+    special float.  ``kind`` is ``fixed``, ``sam``, ``elastic`` or
+    ``general`` (an elastic model with full weights ``G``, ``A``, ``B``)."""
+    m, n = (4, 4) if kind == "sam" else (4, 5)
+    x0 = rng.uniform(1.0, 5.0, (m, n))
+    gamma = 1.0 / x0
+    mask = np.ones((m, n), dtype=bool)
+    for i, (x, g) in enumerate(zip(SPECIALS, SPECIALS[::-1])):
+        cell = (i, (i + 1) % n)
+        mask[cell], x0[cell], gamma[cell] = False, x, g
+    live = np.where(mask, x0, 0.0)
+    s0, d0 = live.sum(axis=1), live.sum(axis=0)
+    if kind == "fixed":
+        return FixedTotalsProblem(x0=x0, gamma=gamma, s0=s0, d0=d0, mask=mask)
+    if kind == "sam":
+        return SAMProblem(x0=x0, gamma=gamma, s0=0.5 * (s0 + d0),
+                          alpha=np.ones(n), mask=mask)
+    if kind == "elastic":
+        return ElasticProblem(x0=x0, gamma=gamma, s0=s0, d0=d0,
+                              alpha=np.ones(m), beta=np.ones(n), mask=mask)
+
+    def spd(k):
+        return np.eye(k) + np.full((k, k), 0.1)
+
+    return GeneralProblem(kind="elastic", x0=x0, G=spd(m * n), s0=s0, d0=d0,
+                          A=spd(m), B=spd(n), mask=mask)
+
+
+def assert_same_bytes(got, want, keys) -> None:
+    """Every named array ``want`` has (or holds as ``None``) equal
+    bit for bit."""
+    for key in keys:
+        a, b = getattr(got, key, None), getattr(want, key, None)
+        assert (a is None) == (b is None), key
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape, key
+            assert a.tobytes() == b.tobytes(), key
+
+
+def float_bytes(value) -> bytes:
+    return np.float64(value).tobytes()
 
 
 def infeasible_fixed() -> FixedTotalsProblem:
@@ -91,6 +155,135 @@ class TestJournal:
         np.testing.assert_array_equal(got.lam, result.lam)
         assert got.residual == result.residual
         assert got.objective == result.objective
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["fixed", "sam", "elastic", "general"])
+    def test_packed_records_are_bit_exact(self, tmp_path, rng, kind):
+        """Every array of a journaled request and its response comes
+        back bit for bit: a sign-negative NaN with a payload, ``-0.0``
+        and ``±inf`` in masked-out input cells and in the answer's
+        ``x``, duals and objective included."""
+        path = tmp_path / "j.jsonl"
+        problem = special_problem(kind, rng)
+        result = solve(problem)
+        result.x[0, :4] = SPECIALS
+        result.lam[:2] = (NEG_NAN, -0.0)
+        result.mu[:2] = (-math.inf, NEG_NAN)
+        result.objective = NEG_NAN
+        req = SolveRequest(problem=problem, id="r0")
+        req._order = 0
+        with Journal(path) as j:
+            j.append_request(req)
+            j.append_response(SolveResponse(id="r0", result=result, kind=kind))
+        requests, responses = replay_full(path)
+        assert_same_bytes(requests["r0"].problem, problem, PROBLEM_ARRAYS)
+        got = responses["r0"].result
+        assert_same_bytes(got, result, RESULT_ARRAYS)
+        assert float_bytes(got.objective) == float_bytes(NEG_NAN)
+        assert float_bytes(got.residual) == float_bytes(result.residual)
+        # The lines hold packed arrays, not decimal text.
+        request_line, response_line = map(
+            json.loads, path.read_text().splitlines())
+        for packed in (request_line["request"]["problem"]["x0"],
+                       response_line["response"]["result"]["x"]):
+            assert sorted(packed) == ["b64", "dtype", "shape"]
+            assert packed["dtype"] == "<f8"
+
+    def test_record_pair_is_near_raw_size(self, tmp_path, rng):
+        """Base64 costs 4/3 of the raw bytes; decimal text of random
+        doubles costs about 2.5x."""
+        path = tmp_path / "j.jsonl"
+        problem = FixedTotalsProblem(
+            x0=rng.random((60, 60)), gamma=rng.random((60, 60)) + 0.5,
+            s0=np.full(60, 30.0), d0=np.full(60, 30.0),
+        )
+        result = solve(problem)
+        with Journal(path) as j:
+            j.append_request(SolveRequest(problem=problem, id="r0"))
+            j.append_response(SolveResponse(id="r0", result=result))
+        raw = sum(getattr(problem, k).nbytes for k in ("x0", "gamma", "s0", "d0"))
+        raw += sum(getattr(result, k).nbytes for k in RESULT_ARRAYS) + 16
+        assert path.stat().st_size <= 1.4 * raw + 1024
+
+    def test_nested_list_journal_still_replays(self, tmp_path):
+        """A journal written before arrays were packed replays, and
+        recovers, to the values its nested lists hold.
+
+        ``tests/data/nested-lists.journal`` was written by the code of
+        commit 10ce0c9, run as ``PYTHONPATH=<that checkout>/src python
+        gen.py`` with this ``gen.py``::
+
+            import numpy as np
+            from repro import ElasticProblem, FixedTotalsProblem, SAMProblem, solve
+            from repro.service.journal import Journal
+            from repro.service.request import SolveRequest, SolveResponse
+
+            rng = np.random.default_rng(19)
+            x0 = rng.uniform(1.0, 5.0, (4, 5))
+            mask = np.ones((4, 5), dtype=bool)
+            mask[2, 1] = False
+            x0[2, 1], gamma = -np.nan, 1.0 / x0
+            gamma[2, 1] = np.inf
+            live = np.where(mask, x0, 0.0)
+            sq = rng.uniform(1.0, 5.0, (3, 3))
+            problems = [
+                FixedTotalsProblem(x0=x0, gamma=gamma, s0=1.1 * live.sum(1),
+                                   d0=1.1 * live.sum(0), mask=mask),
+                SAMProblem(x0=sq, gamma=1.0 / sq, s0=sq.sum(1), alpha=np.ones(3)),
+                ElasticProblem(x0=sq[:2], gamma=np.ones((2, 3)), s0=[4.0, 6.0],
+                               d0=[3.0, 3.0, 3.0], alpha=np.ones(2), beta=np.ones(3)),
+            ]
+            with Journal("nested-lists.journal") as journal:
+                for i, problem in enumerate(problems):
+                    request = SolveRequest(problem=problem, id=f"r{i}")
+                    request._order = i
+                    journal.append_request(request)
+                for i in (0, 1):
+                    journal.append_response(SolveResponse(
+                        id=f"r{i}", result=solve(problems[i]),
+                        kind=["fixed", "sam"][i], submitted_at=i))
+
+        Requests ``r0`` (fixed, ``NaN``/``Infinity`` in a masked-out
+        cell, objective ``NaN``) and ``r1`` (SAM) are answered; ``r2``
+        (elastic) is pending.
+        """
+        path = tmp_path / "legacy.journal"
+        shutil.copy(DATA / "nested-lists.journal", path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        lists = {(r["type"], r["id"]): r[r["type"]] for r in records}
+
+        def listed(value, dtype=np.float64):
+            return np.array(value, dtype=dtype).tobytes()
+
+        requests, responses = replay_full(path)
+        assert sorted(requests) == ["r0", "r1", "r2"]
+        for rid, request in requests.items():
+            payload = lists["request", rid]["problem"]
+            for key in PROBLEM_ARRAYS:
+                if payload.get(key) is not None:
+                    dtype = bool if key == "mask" else np.float64
+                    assert getattr(request.problem, key).tobytes() == \
+                        listed(payload[key], dtype), (rid, key)
+
+        def check_answers(recorded):
+            assert sorted(recorded) == ["r0", "r1"]
+            for rid, response in recorded.items():
+                payload = lists["response", rid]["result"]
+                for key in (*RESULT_ARRAYS, "residual", "objective"):
+                    assert listed(getattr(response.result, key)) == \
+                        listed(payload[key]), (rid, key)
+
+        check_answers(responses)
+        assert math.isnan(responses["r0"].result.objective)
+        with SolveService.recover(path, backend="serial", workers=1) as svc:
+            assert svc.journal.pending_ids() == ["r2"]
+            check_answers(svc.recovered)
+            (answer,) = svc.drain()
+            assert answer.id == "r2" and answer.ok
+        # The packed response appended after the nested-list records
+        # replays beside them.
+        unanswered, recorded = replay(path)
+        assert unanswered == [] and sorted(recorded) == ["r0", "r1", "r2"]
 
     def test_unanswered_keep_submission_order(self, tmp_path, rng):
         path = tmp_path / "j.jsonl"
@@ -203,6 +396,67 @@ class TestJournal:
         # ... which is what keeps ids unique across a restart
         other = SolveRequest(problem=random_fixed_problem(rng, 3, 3))
         assert derive_request_id(req, 5) != derive_request_id(other, 5)
+
+    def test_derived_ids_hash_content_not_layout(self, rng):
+        """C-ordered, Fortran-ordered and strided arrays of one problem
+        give one id: the digest covers the arrays' logical bytes."""
+        base = random_fixed_problem(rng, 4, 5)
+
+        def with_layout(layout):
+            def re(a):
+                if layout == "fortran":
+                    return np.asfortranarray(a)
+                big = np.zeros((2 * a.shape[0], 2 * a.shape[1]), a.dtype)
+                big[::2, ::2] = a
+                return big[::2, ::2]
+
+            return FixedTotalsProblem(
+                x0=re(base.x0), gamma=re(base.gamma), s0=base.s0,
+                d0=base.d0, mask=re(base.mask))
+
+        fortran, strided = with_layout("fortran"), with_layout("strided")
+        assert not fortran.x0.flags.c_contiguous
+        assert not strided.x0.flags.c_contiguous
+        assert not strided.x0.flags.f_contiguous
+        ids = {derive_request_id(SolveRequest(problem=p), 3)
+               for p in (base, fortran, strided)}
+        assert len(ids) == 1
+
+    def test_derived_ids_see_every_cell_and_shape(self, rng):
+        """One ``x0`` cell, one mask cell, ``eps``, or the shape alone
+        (the same bytes in every array, transposed dimensions) changes
+        the id."""
+        base = random_fixed_problem(rng, 4, 5)
+        cell = base.x0.copy()
+        cell[1, 2] = np.nextafter(cell[1, 2], np.inf)
+        masked = np.ones((4, 5), dtype=bool)
+        masked[3, 0] = False
+
+        def fixed(**kw):
+            fields = dict(x0=base.x0, gamma=base.gamma, s0=base.s0,
+                          d0=base.d0)
+            return FixedTotalsProblem(**{**fields, **kw})
+
+        def elastic(m, n):
+            ones = np.ones
+            return ElasticProblem(
+                x0=np.arange(m * n, dtype=float).reshape(m, n),
+                gamma=ones((m, n)), s0=ones(m), d0=ones(n), alpha=ones(m),
+                beta=ones(n))
+
+        def rid(problem, **kw):
+            return derive_request_id(SolveRequest(problem=problem, **kw), 0)
+
+        variants = [rid(fixed()), rid(fixed(x0=cell)), rid(fixed(mask=masked)),
+                    rid(fixed(), eps=1e-7)]
+        assert len(set(variants)) == len(variants)
+        # 2x3 and 3x2 elastic problems of ones around the same x0 bytes:
+        # every array byte matches in order, only the shapes differ.
+        wide, tall = elastic(2, 3), elastic(3, 2)
+        fields = ("x0", "s0", "gamma", "d0", "alpha", "beta")
+        assert b"".join(getattr(wide, k).tobytes() for k in fields) == \
+            b"".join(getattr(tall, k).tobytes() for k in fields)
+        assert rid(wide) != rid(tall)
 
     def test_nonfinite_floats_survive_the_record(self):
         resp = SolveResponse(id="r0", error="boom", error_kind="internal",

@@ -1,17 +1,23 @@
 """CSV/NPZ serialization round-trips."""
 
+import base64
+import json
+
 import numpy as np
 import pytest
 
 from conftest import random_elastic_problem, random_fixed_problem, random_sam_problem
 from repro.core.problems import GeneralProblem
 from repro.datasets.general import dense_spd_weights
+from repro.errors import InvalidRequestError
 from repro.io import (
     load_problem,
+    pack_array,
     problem_from_jsonable,
     problem_to_jsonable,
     read_table_csv,
     save_problem,
+    unpack_array,
     write_table_csv,
 )
 
@@ -213,3 +219,69 @@ class TestJSONWire:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             problem_to_jsonable(object())
+
+
+_SIX = pack_array(np.arange(6.0).reshape(2, 3))
+
+
+class TestPackedArrays:
+    """The raw-byte array codec of the service's internal records."""
+
+    @pytest.mark.parametrize("a", [
+        np.array(-0.0),
+        np.array([1.5, -np.inf, np.nan]),
+        np.arange(12.0).reshape(3, 4),
+        np.arange(12.0).reshape(3, 4).T,            # Fortran-ordered view
+        np.arange(36.0).reshape(6, 6)[::2, 1::3],    # strided view
+        np.zeros((0, 3)),
+        np.array([[True, False], [False, True]]),
+    ])
+    def test_round_trip_is_bit_exact_and_owned(self, a):
+        dtype = bool if a.dtype == bool else np.float64
+        packed = json.loads(json.dumps(pack_array(a)))
+        back = unpack_array(packed, dtype)
+        assert back.shape == a.shape and back.dtype == a.dtype
+        assert back.tobytes() == a.tobytes()
+        assert back.flags.owndata and back.flags.writeable
+
+    def test_nan_sign_and_payload_survive(self):
+        neg_nan = np.array([0xFFF8_0000_0000_BEEF], dtype=np.uint64)
+        back = unpack_array(pack_array(neg_nan.view(np.float64)), np.float64)
+        assert back.view(np.uint64)[0] == neg_nan[0]
+
+    def test_nested_lists_and_numbers_still_decode(self):
+        assert unpack_array([[1.0, 2.0]], np.float64).shape == (1, 2)
+        assert unpack_array(2.5, np.float64) == 2.5
+        assert unpack_array([True, False], bool).tolist() == [True, False]
+        with pytest.raises(InvalidRequestError):
+            unpack_array([[1.0], [2.0, 3.0]], np.float64)   # ragged
+
+    @staticmethod
+    def _packed(**changes):
+        return {**_SIX, **changes}
+
+    @pytest.mark.parametrize("changes", [
+        {"b64": _SIX["b64"][:8] + "!" + _SIX["b64"][8:]},  # junk, not skipped
+        {"b64": _SIX["b64"][:-4]},                        # three bytes short
+        {"b64": base64.b64encode(b"\0" * 47).decode()},     # 47 != 6 * 8
+        {"b64": 7},
+        {"dtype": ">f8"},
+        {"dtype": "<f4"},
+        {"dtype": "|O"},
+        {"dtype": "|b1"},                                # not the dtype asked
+        {"shape": [2, -3]},
+        {"shape": [2, 3.0]},
+        {"shape": [True, 6]},
+        {"shape": [1, 2, 3]},
+        {"shape": "2x3"},
+        {"extra": 1},
+    ])
+    def test_malformed_packed_array_is_an_invalid_request(self, changes):
+        with pytest.raises(InvalidRequestError):
+            unpack_array(self._packed(**changes), np.float64)
+
+    def test_bool_bytes_other_than_0_and_1_are_rejected(self):
+        packed = {"dtype": "|b1", "shape": [3],
+                  "b64": base64.b64encode(b"\x01\x00\x02").decode()}
+        with pytest.raises(InvalidRequestError, match="0 and 1"):
+            unpack_array(packed, bool)

@@ -46,11 +46,13 @@ from repro.cluster import (
     ShardServer,
     parse_host_port,
 )
+from repro.cluster.transport import FrameSocket
 from repro.cluster.worker import ShardCrashedError
 from repro.core.api import solve
 from repro.core.problems import FixedTotalsProblem
 from repro.errors import DuplicateRequestError
 from repro.service import SolveService
+from repro.service.journal import replay, request_to_record
 from repro.service.request import SolveRequest
 
 # The durability idiom, network-wide: deterministic replay needs no
@@ -85,13 +87,12 @@ def nonfinite_problem() -> FixedTotalsProblem:
 
 
 def assert_same_answer(got, want) -> None:
-    """Bit-identical solution and duals, and the same objective.  The
-    objective compares as a value: JSON text carries a ``NaN`` without
-    its sign bit, on the shard wire as in the journal."""
+    """Bit-identical solution, duals and objective."""
     for key in ("x", "lam", "mu"):
         assert getattr(got.result, key).tobytes() == \
             getattr(want, key).tobytes(), key
-    np.testing.assert_equal(got.result.objective, want.objective)
+    assert np.float64(got.result.objective).tobytes() == \
+        np.float64(want.objective).tobytes()
 
 
 class _Host:
@@ -296,6 +297,31 @@ class TestJournalShipping:
         finally:
             revived.close()
 
+    def test_submit_carries_arrays_bit_for_bit(self, tmp_path):
+        """The router's ``submit`` reaches the shard's journal with
+        every input bit intact, a sign-negative ``NaN`` in the
+        masked-out cell included."""
+        base = nonfinite_problem()
+        x0 = base.x0.copy()
+        x0[~base.mask] = -np.nan
+        problem = FixedTotalsProblem(x0=x0, gamma=base.gamma, s0=base.s0,
+                                     d0=base.d0, mask=base.mask)
+        host = _Host(tmp_path, "remote-a")
+        try:
+            shard = NetShard("shard-0", *parse_host_port(host.spec),
+                             replica_path=tmp_path / "r.journal", **FAST_NET)
+            try:
+                assert shard.submit(
+                    SolveRequest(problem=problem, id="nf")) == "nf"
+            finally:
+                shard.close()
+            (got,) = replay(host.journal_path)[0]
+            for key in ("x0", "gamma", "s0", "d0", "mask"):
+                assert getattr(got.problem, key).tobytes() == \
+                    getattr(problem, key).tobytes(), key
+        finally:
+            host.close()
+
     def test_fresh_replica_catches_up_on_connect(self, tmp_path, rng):
         host = _Host(tmp_path, "remote-a")
         try:
@@ -315,6 +341,39 @@ class TestJournalShipping:
                 host.journal_path.read_bytes()
             assert second.replica.answered("cu-0")
             second.close()
+        finally:
+            host.close()
+
+    def test_malformed_packed_submit_is_an_invalid_request(
+        self, tmp_path, rng
+    ):
+        """A ``submit`` whose packed ``x0`` lost bytes is answered with
+        a structured ``invalid-request`` error, and the same connection
+        keeps serving."""
+        records = [
+            request_to_record(SolveRequest(
+                problem=random_fixed_problem(rng, 5, 5), id=rid))
+            for rid in ("bad", "good")
+        ]
+        x0 = records[0]["problem"]["x0"]
+        x0["b64"] = x0["b64"][:-8]  # still base64, five bytes short
+        host = _Host(tmp_path, "remote-a")
+        try:
+            fs = FrameSocket(socket.create_connection(
+                parse_host_port(host.spec), timeout=10))
+            try:
+                fs.send({"op": "hello", "have": None})
+                assert "hello" in fs.recv(time.monotonic() + 10)
+                fs.send({"op": "submit", "args": [records[0], 0]})
+                kind, message = fs.recv(time.monotonic() + 10)["error"]
+                assert kind == "invalid-request" and "bytes" in message
+                fs.send({"op": "submit", "args": [records[1], 1]})
+                assert fs.recv(time.monotonic() + 10) == {"ok": "good"}
+                fs.send({"op": "drain", "args": []})
+                (answer,) = fs.recv(time.monotonic() + 60)["ok"]
+                assert answer["id"] == "good" and "error" not in answer
+            finally:
+                fs.close()
         finally:
             host.close()
 

@@ -24,6 +24,7 @@ from conftest import random_fixed_problem
 from repro.core.result import SolveResult
 from repro.errors import DuplicateRequestError, InvalidRequestError
 from repro.service import SolveService
+from repro.service.journal import request_to_record
 from repro.service.request import SolveRequest, SolveResponse
 from repro.service.wire import (
     RequestError,
@@ -246,6 +247,8 @@ class TestFramingParity:
     def _frames(self, rng):
         good = json.dumps(request_to_jsonable(
             SolveRequest(problem=random_fixed_problem(rng, 3, 3), id="g")))
+        packed = json.dumps(request_to_record(
+            SolveRequest(problem=random_fixed_problem(rng, 3, 3), id="p")))
         return [
             ("", None),
             ("   ", None),
@@ -256,6 +259,7 @@ class TestFramingParity:
             ('{"id":"x","problem":{"kind":"??"}}', RequestError),
             ('"just a string"', RequestError),
             ("[" * 100_000, RequestError),         # nested past the parser
+            (packed, RequestError),                # internal records only
         ]
 
     def test_classification(self, rng):
