@@ -30,9 +30,10 @@ The router is deliberately thin.  It owns exactly four things:
   request it kept);
 * **the respawn ladder** — a crashed replica is respawned from its
   journal up to ``max_respawns`` times, then degraded to an in-process
-  :class:`~repro.cluster.worker.InlineShard` (the same
-  process → inline step the parallel kernel's backend ladder takes), so
-  a poisonous replica can never take its keyspace slice down with it.
+  :class:`~repro.cluster.worker.InlineShard`, so a poisonous replica
+  can never take its keyspace slice down with it.  A shard process
+  really can die (SIGKILL, OOM), and the inline rung, which cannot,
+  is what lets a revival terminate.
 
 Delivery mirrors the single service: :meth:`drain` answers everything
 queued, merged across shards into cluster submission order;

@@ -84,8 +84,9 @@ class NonConvergenceError(ReproError, RuntimeError):
 
 
 class WorkerCrashError(ReproError, RuntimeError):
-    """A worker-pool process/thread died mid-dispatch and recovery
-    (pool rebuilds plus the backend degradation ladder) was exhausted.
+    """A dispatch's worker died: raised by injected faults
+    (:class:`~repro.service.faults.FaultyKernel`) and by dead cluster
+    shards (:class:`~repro.cluster.worker.ShardCrashedError`).
     Transient — the service retries these."""
 
     kind = "worker-crash"

@@ -16,8 +16,7 @@ per problem:
   from the nearest previously-solved problem;
 * a metrics surface (:class:`~repro.service.metrics.ServiceStats`);
 * a fault-tolerance layer: classified errors (:mod:`repro.errors`),
-  per-request deadlines and retries, worker-crash recovery with a
-  ``thread -> serial`` degradation ladder, a kind+shape
+  per-request deadlines and retries of transient errors, a kind+shape
   circuit breaker, and a deterministic fault-injection harness
   (:mod:`repro.service.faults`) that proves results stay bit-identical
   under injected chaos;
@@ -42,7 +41,7 @@ or end-to-end over JSONL: ``python -m repro serve --jsonl``.
 """
 
 from repro.service.admission import AdmissionConfig, AdmissionController
-from repro.service.batching import solve_batch, solve_fixed_batch
+from repro.service.batching import solve_batch
 from repro.service.cache import WarmStartCache
 from repro.service.faults import (
     CRASH_POINTS,
@@ -72,5 +71,4 @@ __all__ = [
     "SimulatedCrash",
     "CRASH_POINTS",
     "solve_batch",
-    "solve_fixed_batch",
 ]

@@ -20,8 +20,7 @@ plan injects an identical fault schedule on every run — chaos you can
 put in a regression test.  The harness proves the headline guarantee:
 with a seeded plan raising or corrupting in >=20% of dispatches, every
 service response stays bit-identical to the fault-free serial solve
-(see ``tests/test_fault_injection.py``, which also breaks the kernel's
-pool itself to drive its rebuild and degradation ladder).
+(see ``tests/test_fault_injection.py``).
 
 Crash points — :class:`CrashPlan` — complement the kernel-level chaos
 with *process-death* chaos at the durability layer's three critical
@@ -149,10 +148,10 @@ class FaultyKernel:
     misbehavior, full attribute pass-through.
 
     The wrapper is transparent to everything that isn't a dispatch:
-    counters (``worker_crashes``, ``pool_rebuilds``, ...), ``close()``
-    and ``healthy()`` delegate to the wrapped kernel, so a
-    ``SolveService(kernel=FaultyKernel(...))`` behaves exactly like the
-    clean service apart from the injected faults.
+    attributes such as ``dispatches`` and ``close()`` delegate to the
+    wrapped kernel, so a ``SolveService(kernel=FaultyKernel(...))``
+    behaves exactly like the clean service apart from the injected
+    faults.
 
     ``injected`` counts what actually fired, per fault mode.
     """
@@ -215,5 +214,5 @@ class FaultyKernel:
         return result
 
     def __getattr__(self, name):
-        # Transparent pass-through for counters, close(), healthy(), ...
+        # Transparent pass-through for dispatches, close(), ...
         return getattr(self.kernel, name)

@@ -33,12 +33,10 @@ class ServiceStats:
 
     The fault-tolerance block: ``retries`` counts re-attempted solves
     after transient errors, ``deadline_exceeded`` counts requests that
-    ran out of budget, ``errors_by_kind`` buckets every failed request
-    by its taxonomy tag (:mod:`repro.errors`), and ``worker_crashes`` /
-    ``pool_rebuilds`` / ``degraded_dispatches`` mirror the shared
-    kernel's counters at snapshot time.  ``breaker_trips`` counts
-    kind+shape circuit breakers opening; ``breaker_rejections`` counts
-    requests refused while one was open.
+    ran out of budget, and ``errors_by_kind`` buckets every failed
+    request by its taxonomy tag (:mod:`repro.errors`).
+    ``breaker_trips`` counts kind+shape circuit breakers opening;
+    ``breaker_rejections`` counts requests refused while one was open.
 
     The sort-reuse block: ``sort_sweeps`` counts workspace sweeps (one
     per row block of a pool kernel's multi-block phase),
@@ -88,9 +86,6 @@ class ServiceStats:
     per_kind: dict[str, int] = field(default_factory=dict)
     retries: int = 0
     deadline_exceeded: int = 0
-    worker_crashes: int = 0
-    pool_rebuilds: int = 0
-    degraded_dispatches: int = 0
     breaker_trips: int = 0
     breaker_rejections: int = 0
     errors_by_kind: dict[str, int] = field(default_factory=dict)

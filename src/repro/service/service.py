@@ -947,14 +947,9 @@ class SolveService:
     # -- lifecycle ----------------------------------------------------------
 
     def stats(self) -> ServiceStats:
-        """Snapshot of the current counters (kernel health included)."""
+        """Snapshot of the current counters."""
         self._stats.queue_depth = len(self._queue)
         self._stats.cache_size = len(self.cache)
-        self._stats.worker_crashes = getattr(self.kernel, "worker_crashes", 0)
-        self._stats.pool_rebuilds = getattr(self.kernel, "pool_rebuilds", 0)
-        self._stats.degraded_dispatches = getattr(
-            self.kernel, "degraded_dispatches", 0
-        )
         # Sort-reuse counters: the live pairs (their pool row blocks
         # included) plus the pairs evicted so far.
         totals = dict(self._evicted_sort)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from repro.core.problems import FixedTotalsProblem
 from repro.core.sea import solve_fixed
 from repro.equilibration.exact import solve_piecewise_linear
 from repro.equilibration.workspace import SweepWorkspace
-from repro.errors import DeadlineExceededError, WorkerCrashError
+from repro.errors import DeadlineExceededError, InfeasibleProblemError
 from repro.parallel.executor import ParallelKernel
 from repro.service import FaultPlan, FaultyKernel, SolveService
 from repro.sparse.sea import solve_fixed_sparse
@@ -267,70 +267,7 @@ class TestCircuitBreaker:
         assert same.error_kind == "circuit-open"
 
 
-class _BrokenPool:
-    """Executor stand-in whose submissions always fail."""
-
-    def __init__(self, max_workers=None):
-        pass
-
-    def submit(self, fn, *args, **kwargs):
-        raise BrokenExecutor("injected: pool refuses all work")
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-class TestDegradationLadder:
-    def test_thread_backend_degrades_to_serial(self, rng, monkeypatch):
-        monkeypatch.setitem(executor_mod._POOL_TYPES, "thread", _BrokenPool)
-        problem = random_fixed_problem(rng, 6, 6)
-        baseline = solve_fixed(problem)
-        kernel = ParallelKernel(workers=2, backend="thread",
-                                max_retries=1, retry_backoff_s=0.001)
-        result = solve_fixed(problem, kernel=kernel)
-        np.testing.assert_array_equal(result.x, baseline.x)
-        assert kernel.effective_backend == "serial"
-        assert kernel.degraded_dispatches > 0
-        assert kernel.worker_crashes == 2  # max_retries + 1 on the thread rung
-        assert kernel.pool_rebuilds == 1
-        kernel.reset()
-        assert kernel.effective_backend == "thread"
-
-    def test_all_rungs_broken_raises_worker_crash(self, monkeypatch):
-        monkeypatch.setitem(executor_mod._POOL_TYPES, "thread", _BrokenPool)
-        monkeypatch.setitem(executor_mod._LADDERS, "thread", ("thread",))
-        kernel = ParallelKernel(workers=2, backend="thread",
-                                max_retries=1, retry_backoff_s=0.001)
-        m = 4
-        breakpoints = np.tile(np.linspace(-1.0, 1.0, 4), (m, 1))
-        slopes = np.tile(np.array([0.5, 1.0, 2.0, 1.5]), (m, 1))
-        with pytest.raises(WorkerCrashError):
-            kernel(breakpoints, slopes, np.full(m, 1.0))
-
-    def test_degraded_kernel_feeds_service_stats(self, rng, monkeypatch):
-        monkeypatch.setitem(executor_mod._POOL_TYPES, "thread", _BrokenPool)
-        kernel = ParallelKernel(workers=2, backend="thread",
-                                max_retries=0, retry_backoff_s=0.001)
-        with SolveService(kernel=kernel, warm_start=False) as svc:
-            resp = svc.solve(random_fixed_problem(rng, 6, 6))
-        assert resp.ok
-        stats = svc.stats()
-        assert stats.worker_crashes >= 1
-        assert stats.degraded_dispatches >= 1
-
-
 class TestKernelLifecycle:
-    def test_healthy_probe(self):
-        serial = ParallelKernel(workers=1, backend="serial")
-        assert serial.healthy()
-        with ParallelKernel(workers=2, backend="thread") as kernel:
-            assert kernel.healthy()
-
-    def test_healthy_false_on_broken_pool(self, monkeypatch):
-        monkeypatch.setitem(executor_mod._POOL_TYPES, "thread", _BrokenPool)
-        kernel = ParallelKernel(workers=2, backend="thread")
-        assert not kernel.healthy()
-
     def test_close_is_reusable(self, rng):
         problem = random_fixed_problem(rng, 6, 6)
         baseline = solve_fixed(problem)
@@ -342,41 +279,42 @@ class TestKernelLifecycle:
         np.testing.assert_array_equal(first.x, baseline.x)
         np.testing.assert_array_equal(second.x, baseline.x)
 
+    def test_failed_phase_abandons_its_pool(self, monkeypatch):
+        """A block that raises fails its phase while its sibling may
+        still run; the next phase starts on a fresh pool and answers the
+        cold kernel's bytes."""
+        pools = []
+
+        def counted(max_workers):
+            pools.append(ThreadPoolExecutor(max_workers))
+            return pools[-1]
+
+        monkeypatch.setattr(executor_mod, "ThreadPoolExecutor", counted)
+        m = 6
+        breakpoints = np.tile(np.linspace(-1.0, 1.0, 4), (m, 1))
+        slopes = np.tile(np.array([0.5, 1.0, 2.0, 1.5]), (m, 1))
+        target = np.full(m, 1.0)
+        bad = target.copy()
+        bad[0] = -1.0  # a fixed row below g(-inf) = 0: infeasible
+        kernel = ParallelKernel(workers=2, backend="thread")
+        try:
+            with pytest.raises(InfeasibleProblemError):
+                kernel(breakpoints, slopes, bad)
+            out = kernel(breakpoints, slopes, target)
+        finally:
+            kernel.close()
+            for pool in pools:
+                pool.shutdown(wait=True)
+        assert len(pools) == 2
+        cold = solve_piecewise_linear(breakpoints, slopes, target)
+        assert out.tobytes() == cold.tobytes()
+
 
 @pytest.mark.slow
 class TestChaosAcceptance:
     """The headline acceptance runs on the two-worker ``thread`` pool:
-    a broken pool and a seeded plan raising/corrupting in >=20% of
-    dispatches, every response bit-identical to the fault-free serial
-    solve."""
-
-    def test_pool_break_mid_batch_recovers_bit_identical(
-        self, rng, monkeypatch
-    ):
-        problems = [random_fixed_problem(rng, 4, 4) for _ in range(3)]
-        baselines = [solve(p) for p in problems]
-        pools = []
-
-        def breaks_once(max_workers):
-            pools.append(
-                ThreadPoolExecutor(max_workers) if pools else _BrokenPool()
-            )
-            return pools[-1]
-
-        monkeypatch.setitem(executor_mod._POOL_TYPES, "thread", breaks_once)
-        kernel = ParallelKernel(workers=2, backend="thread")
-        with SolveService(kernel=kernel, warm_start=False) as svc:
-            for p in problems:
-                svc.submit(p)
-            responses = svc.drain()
-        assert all(r.ok and r.batched for r in responses)
-        for resp, base in zip(responses, baselines):
-            np.testing.assert_array_equal(resp.result.x, base.x)
-        stats = svc.stats()
-        assert stats.worker_crashes >= 1  # the broken pool was seen...
-        assert stats.pool_rebuilds >= 1   # ...and replaced by a fresh one
-        assert kernel.effective_backend == "thread"
-        assert stats.degraded_dispatches == 0
+    a seeded plan raising/corrupting in >=20% of dispatches, every
+    response bit-identical to the fault-free serial solve."""
 
     def test_sustained_chaos_stays_bit_identical(self, rng):
         problems = [random_fixed_problem(rng, 4, 4) for _ in range(8)]

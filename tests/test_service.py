@@ -20,7 +20,7 @@ from repro.service import (
     SolveRequest,
     SolveService,
     WarmStartCache,
-    solve_fixed_batch,
+    solve_batch,
 )
 from repro.service.wire import (
     request_from_jsonable,
@@ -246,7 +246,7 @@ class TestBatch:
         stop = StoppingRule(eps=1e-8, max_iterations=5000)
         mu0s = [None, np.full(6, 0.5), None, np.zeros(6)]
         for batch_result, problem, mu0 in zip(
-            solve_fixed_batch(problems, stop=stop, mu0s=mu0s), problems, mu0s
+            solve_batch(problems, stop=stop, mu0s=mu0s), problems, mu0s
         ):
             solo = solve_fixed(problem, stop=stop, mu0=mu0)
             np.testing.assert_array_equal(batch_result.x, solo.x)
@@ -263,25 +263,25 @@ class TestBatch:
                                     total_factor_low=0.2,
                                     total_factor_high=2.5)
         stop = StoppingRule(eps=1e-8, max_iterations=5000)
-        results = solve_fixed_batch([easy, hard], stop=stop)
+        results = solve_batch([easy, hard], stop=stop)
         solos = [solve_fixed(p, stop=stop) for p in (easy, hard)]
         assert [r.iterations for r in results] == [s.iterations for s in solos]
         assert results[0].iterations != results[1].iterations
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="shape"):
-            solve_fixed_batch([random_fixed_problem(rng, 4, 4),
-                               random_fixed_problem(rng, 5, 4)])
+            solve_batch([random_fixed_problem(rng, 4, 4),
+                         random_fixed_problem(rng, 5, 4)])
 
     def test_empty_batch(self):
-        assert solve_fixed_batch([]) == []
+        assert solve_batch([]) == []
 
     def test_results_are_not_views_into_batch_stacks(self, rng):
         """Regression: _finalize used to store views into the shared
         (k, m, n) iterate stacks, so results pinned the whole buffer
         and mutating one corrupted its batch-mates."""
         problems = [random_fixed_problem(rng, 5, 5) for _ in range(3)]
-        results = solve_fixed_batch(problems)
+        results = solve_batch(problems)
         for r in results:
             assert r.x.base is None
             assert r.lam.base is None
@@ -715,7 +715,6 @@ class TestServiceWorkspaces:
         responses = {r.id: r for r in service.drain()}
         assert all(r.ok for r in responses.values())
         assert any(r.batched for r in responses.values())
-        from repro.service.batching import solve_batch
 
         def cold_kernel(b, s, t, a=None, c=None, workspace=None):
             from repro.equilibration.exact import solve_piecewise_linear
