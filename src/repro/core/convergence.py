@@ -107,3 +107,42 @@ class StoppingRule:
         # 'dual-gradient': after a column phase the column constraints hold
         # exactly; the dual gradient that remains is the row residual (25).
         return float(np.max(np.abs(sums - row_totals)))
+
+    def stalled(
+        self,
+        residual: float,
+        x: np.ndarray,
+        row_totals: np.ndarray,
+        n: int,
+        row_sums: Callable[[np.ndarray], np.ndarray] | None = None,
+    ) -> bool:
+        """Whether a passing ``delta-x`` check is a stall, not a stop.
+
+        The column-phase iterate can repeat to roundoff while the duals
+        still drift: when every cell their drift reaches sits at its zero
+        bound, ``x`` does not show it, and a 2x2 problem whose optimum
+        needs an off-diagonal cell the sweeps have not lifted yet would
+        stop with a row far from its total.  An iterate that did not move
+        beyond roundoff therefore stops only if its rows also balance to
+        ``n`` per-cell moves of ``eps`` (or of that roundoff).  An
+        iterate that still moves is left to the paper's rule, as are the
+        criteria that read the rows themselves.  ``n`` is the column
+        count; ``row_sums`` as for :meth:`residual`.
+        """
+        if self.criterion != "delta-x" or x.size == 0:
+            return False
+        roundoff = _FROZEN_ULPS * np.finfo(np.float64).eps * max(
+            float(x.max()), -float(x.min()), 1.0
+        )
+        if residual > roundoff:
+            return False
+        sums = x.sum(axis=1) if row_sums is None else row_sums(x)
+        imbalance = float(np.max(np.abs(sums - row_totals)))
+        return imbalance > n * max(self.eps, roundoff)
+
+
+# A frozen iterate: at most this many units in the last place of its
+# largest entry away from the previous one.  The stalls seen on small
+# fixed-totals problems repeat to 1 ulp; tolerance-level stops of the
+# paper's rule move by many orders of magnitude more.
+_FROZEN_ULPS = 256

@@ -294,7 +294,9 @@ def _run_diagonal(
             counts.add_convergence_check(m, n)
             if record_history:
                 history.append(residual)
-            if residual <= stop.eps:
+            if residual <= stop.eps and not stop.stalled(
+                residual, x, s, n, row_sums=row_ws.row_sums
+            ):
                 converged = True
                 break
         x_prev = x

@@ -398,23 +398,26 @@ def run_table7(full: bool | None = None, sides: tuple[int, ...] | None = None,
 # Table 8 — general migration problems
 # --------------------------------------------------------------------------
 
-def run_table8(full: bool | None = None, repeats: int = 3):
+def run_table8(full: bool | None = None, repeats: int = 5):
     ref = PAPER_TABLES["table8"]
     stop = StoppingRule(eps=1e-3, criterion="delta-x")
-    rows = []
-    walls = []
-    for name in general_migration_names():
-        problem = migration_instance(name)
-        # ~25ms solves: best-of-`repeats` removes scheduler spikes from
-        # the similarity comparison below.
-        wall = np.inf
-        for _ in range(max(repeats, 1)):
-            result, w = _wall(solve_general, problem, stop=stop)
-            wall = min(wall, w)
-        walls.append(wall)
-        rows.append([name, round(wall, 4), result.iterations,
-                     result.inner_iterations, result.converged,
-                     ref["rows"][name]])
+    names = general_migration_names()
+    problems = [migration_instance(name) for name in names]
+    results = [None] * len(problems)
+    walls = [np.inf] * len(problems)
+    # ~25ms solves compared with each other below: best of `repeats`
+    # rounds over all six, so a slow spell of a shared host (one second
+    # or more of 2-3x walls) slows every instance of a round alike
+    # instead of all the repeats of whichever instance it lands on.
+    for _ in range(max(repeats, 1)):
+        for i, problem in enumerate(problems):
+            results[i], w = _wall(solve_general, problem, stop=stop)
+            walls[i] = min(walls[i], w)
+    rows = [
+        [name, round(wall, 4), result.iterations, result.inner_iterations,
+         result.converged, ref["rows"][name]]
+        for name, wall, result in zip(names, walls, results)
+    ]
     checks = {
         "all six instances cost within ~2x of each other": (
             max(walls) < 2.5 * min(walls)
