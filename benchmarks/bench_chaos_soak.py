@@ -47,6 +47,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from _util import write_sweeps
 from repro.chaos import ChaosProxy, ChaosSchedule
 from repro.cluster import ClusterService
 from repro.core.problems import FixedTotalsProblem
@@ -367,11 +368,7 @@ def main(argv=None) -> int:
                 "availability_ok": results["availability"] >= 0.99,
             },
         }
-        doc = {}
-        if args.out.exists():
-            doc = json.loads(args.out.read_text())
-        doc["chaos"] = block
-        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        write_sweeps(args.out, {"chaos": block})
         print(f"wrote chaos block -> {args.out}")
 
     if args.check:

@@ -67,7 +67,6 @@ request, skips failover, or leaks failover-lost records; with
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import pathlib
 import re
@@ -81,6 +80,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from _util import write_sweeps
 from repro.cluster import ClusterService
 from repro.core.problems import FixedTotalsProblem
 from repro.datasets.migration import base_migration_table
@@ -402,11 +402,7 @@ def run_net(args) -> int:
     }
 
     if not args.smoke:
-        doc = {}
-        if args.out.exists():
-            doc = json.loads(args.out.read_text())
-        doc["netcluster"] = block
-        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        write_sweeps(args.out, {"netcluster": block})
         print(f"wrote netcluster block -> {args.out}")
 
     if args.check:
@@ -531,11 +527,7 @@ def main(argv=None) -> int:
     }
 
     if not args.smoke:
-        doc = {}
-        if args.out.exists():
-            doc = json.loads(args.out.read_text())
-        doc["cluster"] = block
-        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        write_sweeps(args.out, {"cluster": block})
         print(f"wrote cluster block -> {args.out}")
 
     if args.check:

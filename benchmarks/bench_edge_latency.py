@@ -34,7 +34,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from repro.core.problems import FixedTotalsProblem
+from _util import write_sweeps
 from repro.edge import EdgeClient, EdgeServer
 from repro.service.service import SolveService
 
@@ -269,11 +269,7 @@ def main(argv=None) -> int:
             },
             "modes": rows,
         }
-        doc = {}
-        if args.out.exists():
-            doc = json.loads(args.out.read_text())
-        doc["edge"] = block
-        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        write_sweeps(args.out, {"edge": block})
         print(f"wrote edge block -> {args.out}")
 
     if args.check:

@@ -20,7 +20,6 @@ The results are written into the ``kernel`` block of ``--out``
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import pathlib
 import sys
@@ -36,6 +35,7 @@ from repro.equilibration.backends import (  # noqa: E402
 )
 from repro.equilibration.workspace import SweepWorkspace  # noqa: E402
 
+from _util import write_sweeps  # noqa: E402
 from run_trajectory import KINDS, STOP, _timed  # noqa: E402
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -198,14 +198,7 @@ def main(argv=None) -> int:
                 f"(need {args.check_pr4}): {best_by_kind}"
             )
 
-    doc = {}
-    if args.out.exists():
-        try:
-            doc = json.loads(args.out.read_text())
-        except (OSError, ValueError):
-            doc = {}
-    doc["kernel"] = block
-    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    write_sweeps(args.out, {"kernel": block})
     print(f"wrote kernel block to {args.out}")
 
     if args.check and failures:

@@ -50,7 +50,6 @@ trajectory — so the service block compares wall time, not arrays.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
@@ -60,6 +59,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from _util import write_sweeps
 from repro.core.convergence import StoppingRule
 from repro.core.problems import ElasticProblem, FixedTotalsProblem, SAMProblem
 from repro.core.sea import solve_elastic, solve_fixed, solve_sam
@@ -385,16 +385,6 @@ def main(argv=None) -> int:
         "service": None,
         "durability": None,
     }
-    # Blocks other benchmarks own (cluster, edge, chaos, kernel) must
-    # survive a trajectory regeneration: carry everything this run does
-    # not itself produce over from the existing document.
-    existing = {}
-    if args.out.exists():
-        try:
-            existing = json.loads(args.out.read_text())
-        except (OSError, ValueError):
-            existing = {}
-
     failures = []
     for n in sizes:
         for kind in args.kinds:
@@ -449,12 +439,9 @@ def main(argv=None) -> int:
             flush=True,
         )
 
-    for key in ("service", "durability"):
-        if doc[key] is None and key in existing:
-            doc[key] = existing[key]
-    for key, value in existing.items():
-        doc.setdefault(key, value)
-    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    # Blocks other benchmarks own (cluster, edge, chaos, kernel) survive
+    # a trajectory regeneration, and so does a block this run skipped.
+    write_sweeps(args.out, {k: v for k, v in doc.items() if v is not None})
     print(f"wrote {args.out}")
 
     if args.check_reuse and failures:

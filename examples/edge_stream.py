@@ -23,7 +23,6 @@ Run:  python examples/edge_stream.py
 """
 
 import asyncio
-import json
 import time
 
 import numpy as np

@@ -12,8 +12,6 @@ a demand shock to show comparative statics.
 Run:  python examples/spatial_price_equilibrium.py
 """
 
-import numpy as np
-
 from repro.core.convergence import StoppingRule
 from repro.datasets.spe_data import spe_instance
 from repro.spe.equilibrium import equilibrium_violations

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import pathlib
 import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 from repro.service.faults import FaultPlan
 

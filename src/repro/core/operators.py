@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.dual import zeta_fixed
 from repro.core.problems import FixedTotalsProblem
-from repro.equilibration.exact import recover_flows, solve_piecewise_linear
+from repro.equilibration.exact import solve_piecewise_linear
 
 __all__ = ["DualState", "RowEquilibration", "ColumnEquilibration",
            "Schedule", "sea_schedule"]

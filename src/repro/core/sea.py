@@ -24,12 +24,15 @@ sam        a = 1/(2 alpha),       s_i = s0_i - (lam_i+mu_i)/(2 alpha_i)
 That table is code here: each variant is a :class:`DiagonalVariant` whose
 static methods produce the kernel terms and recovered totals from the
 problem's constant vectors.  The term formulas are elementwise, so they
-apply unchanged whether the leading axis is one problem's rows (the solo
-drivers below) or a whole batch of stacked problems
-(:func:`repro.service.batching.solve_batch`) — solo and batch solves share
-this one source of truth and are bit-identical.
+apply unchanged to problem-major stacks of ``k`` same-shape problems:
+the ``k*m`` row and ``k*n`` column equilibrations are as independent as
+one problem's.  :func:`run_diagonal` is the one driver: a solo solve
+(:func:`solve_fixed`, :func:`solve_elastic`, :func:`solve_sam`) is a
+stack of one, and :func:`repro.service.batching.solve_batch` a stack of
+``k``, so batch and solo solves run the same sweeps and the same Step 3
+per problem, and agree bit for bit by construction.
 
-The drivers sweep on a ``(row, column)`` workspace pair that carries
+Every solve sweeps on a ``(row, column)`` workspace pair that carries
 the data layout: dense ``(m, n)`` matrices, or (:mod:`repro.sparse`) a
 mask pattern's active cells, which agree with dense to roundoff.
 
@@ -52,7 +55,13 @@ from repro.core.result import PhaseCounts, SolveResult
 from repro.equilibration.exact import solve_piecewise_linear
 from repro.equilibration.workspace import SweepWorkspace
 
-__all__ = ["solve_fixed", "solve_elastic", "solve_sam", "variant_spec"]
+__all__ = [
+    "solve_fixed",
+    "solve_elastic",
+    "solve_sam",
+    "variant_spec",
+    "run_diagonal",
+]
 
 # The one kernel contract, that of ``solve_piecewise_linear``:
 # ``kernel(breakpoints, slopes, target, a=None, c=None, workspace=None)``
@@ -69,8 +78,9 @@ class DiagonalVariant:
     ``col_terms`` turn them plus the opposite multipliers into the
     piecewise-linear kernel's ``(target, a, c)``; ``totals`` recovers
     the (estimated) row/column totals from the multipliers.  All term
-    formulas are elementwise over the leading axes, so stacked ``(k, m)``
-    batch arrays go through the same code paths as solo ``(m,)`` vectors.
+    formulas are elementwise over the leading axes, so
+    :func:`run_diagonal`'s problem-major ``(k, m)`` stacks and one
+    problem's ``(m,)`` vectors go through the same code paths.
     """
 
     kind: str
@@ -231,95 +241,157 @@ def variant_spec(problem) -> type[DiagonalVariant]:
     return spec
 
 
-def _run_diagonal(
-    problem,
+def _stack(arrays) -> np.ndarray:
+    """Problem-major stack of per-problem arrays; a lone one's is a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _flat(v: np.ndarray | None) -> np.ndarray | None:
+    """A stack as the kernel sees it: problems merged into the rows."""
+    return None if v is None else v.reshape((-1,) + v.shape[2:])
+
+
+def run_diagonal(
+    problems: list,
     spec: type[DiagonalVariant],
     stop: StoppingRule | None,
-    mu0: np.ndarray | None,
+    mu0s: list,
     kernel: Kernel,
     record_history: bool,
     workspaces=None,
-) -> SolveResult:
-    """One driver for all three diagonal variants and both layouts.
+) -> list[SolveResult]:
+    """One SEA driver for ``k >= 1`` same-kind, same-shape problems.
+
+    The ``k*m`` row and ``k*n`` column equilibrations of a stack are as
+    independent as one problem's, so each phase is one kernel call over
+    the problem-major stacks (axis 0; a lone problem's stacks view its
+    arrays).  Step 3 checks each problem on its own iterate, as a solo
+    solve would, and retires it when it stops; the stacks and the
+    workspaces' cached permutations shrink to the survivors
+    (:meth:`~repro.equilibration.workspace.SweepWorkspace.retain`), so
+    a straggler never pads the others' iteration counts.
 
     The sweeps run on a ``(row, column)`` workspace pair (``workspaces``,
     or a fresh dense one) that carries the layout: the row workspace
     supplies the row-major cell constants, row sums and final matrix,
     each one shifts its phase's breakpoints and runs the kernel's fast
     path, and the column one recovers the primal into the row-major
-    iterate.
+    iterate.  Results align with ``problems``; a lone problem's ``x``
+    views its recovery buffer, every other array is owned.
     """
     stop = stop or spec.default_stop()
     t0 = time.perf_counter()
-    m, n = problem.shape
+    k = len(problems)
+    m, n = problems[0].shape
     if workspaces is None:
-        workspaces = (SweepWorkspace(m, n), SweepWorkspace(n, m))
+        workspaces = (SweepWorkspace(k * m, n), SweepWorkspace(k * n, m))
     row_ws, col_ws = workspaces
-    base, slopes, x_prev = row_ws.prepare(problem)
-    base_t, slopes_t = col_ws.orient(base), col_ws.orient(slopes)
     row_len, col_len = row_ws.segment_length, col_ws.segment_length
-    data = spec.pack(problem)
-
-    mu = np.zeros(n) if mu0 is None else np.asarray(mu0, dtype=np.float64).copy()
-    lam = np.zeros(m)
-    counts = PhaseCounts(cells=m * n)
-    history: list[float] = []
-    converged = False
-    residual = np.inf
-    x = x_prev
+    base, slopes, x_prev = map(_stack, zip(*map(row_ws.prepare, problems)))
+    base_t, slopes_t = col_ws.orient(base), col_ws.orient(slopes)
+    packed = [spec.pack(p) for p in problems]
+    data = {key: _stack([pk[key] for pk in packed]) for key in packed[0]}
+    mu = _stack([
+        np.zeros(n) if w is None else np.asarray(w, dtype=np.float64)
+        for w in mu0s
+    ])
     # Double-buffered primal recovery: x and x_prev must be distinct
     # arrays for the delta-x residual, so recovery alternates buffers.
-    # Per solve, not per workspace: the returned x views one of them.
     xbufs = (np.empty_like(base_t), np.empty_like(base_t))
+    ids = list(range(k))  # problem index of each stack member
+    residual = [np.inf] * k
+    history: list[list[float]] = [[] for _ in range(k)]
+    results: list[SolveResult | None] = [None] * k
+    checks = 0
 
+    def finish(j: int, converged: bool) -> None:
+        i = ids[j]
+        counts = PhaseCounts(cells=m * n)
+        for _ in range(t):
+            counts.add_equilibration(m, row_len)
+            counts.add_equilibration(n, col_len)
+        for _ in range(checks):
+            counts.add_convergence_check(m, n)
+        s, d = spec.totals(packed[i], lam[j], mu[j])
+        s = np.array(s, dtype=np.float64)
+        d = np.array(d, dtype=np.float64)
+        # A batch member copies out of the shared stacks: a view would
+        # pin them alive and expose its batch-mates to in-place edits.
+        x_i = row_ws.densify(x[j] if k == 1 else x[j].copy())
+        results[i] = SolveResult(
+            x=x_i,
+            s=s,
+            d=d,
+            lam=lam[j].copy(),
+            mu=mu[j].copy(),
+            converged=converged,
+            iterations=t,
+            residual=residual[i],
+            objective=spec.objective(problems[i], x_i, s, d),
+            elapsed=time.perf_counter() - t0,
+            algorithm=spec.algorithm + row_ws.tag,
+            history=history[i],
+            counts=counts,
+        )
+
+    row_slopes, col_slopes = _flat(slopes), _flat(slopes_t)
     for t in range(1, stop.max_iterations + 1):
-        # Step 1: row equilibration — m independent subproblems.
+        a = len(ids)
+        # Step 1: row equilibration — a*m independent subproblems.
         target_r, a_r, c_r = spec.row_terms(data, mu)
         row_b = row_ws.shift(base, mu)
-        lam = kernel(row_b, slopes, target_r, a=a_r, c=c_r, workspace=row_ws)
-        counts.add_equilibration(m, row_len)
+        lam = kernel(
+            _flat(row_b), row_slopes, _flat(target_r), a=_flat(a_r),
+            c=_flat(c_r), workspace=row_ws,
+        ).reshape(a, -1)
 
-        # Step 2: column equilibration — n independent subproblems,
+        # Step 2: column equilibration — a*n independent subproblems,
         # plus primal recovery (eq. 23a / 40a).
         target_c, a_c, c_c = spec.col_terms(data, lam)
         col_b = col_ws.shift(base_t, lam)
-        mu = kernel(col_b, slopes_t, target_c, a=a_c, c=c_c, workspace=col_ws)
-        x = col_ws.recover(mu, col_b, slopes_t, xbufs[t % 2])
-        counts.add_equilibration(n, col_len)
+        mu = kernel(
+            _flat(col_b), col_slopes, _flat(target_c), a=_flat(a_c),
+            c=_flat(c_c), workspace=col_ws,
+        ).reshape(a, -1)
+        x = col_ws.recover(mu, col_b, slopes_t, xbufs[t % 2][:a])
 
-        # Step 3: convergence verification (the serial phase).
+        # Step 3: convergence verification (the serial phase), per
+        # problem on its own iterate.
         if stop.due(t):
-            s, d = spec.totals(data, lam, mu)
-            residual = stop.residual(x, x_prev, s, d, row_sums=row_ws.row_sums)
-            counts.add_convergence_check(m, n)
-            if record_history:
-                history.append(residual)
-            if residual <= stop.eps and not stop.stalled(
-                residual, x, s, n, row_sums=row_ws.row_sums
-            ):
-                converged = True
+            checks += 1
+            keep = []
+            for j, i in enumerate(ids):
+                s, d = spec.totals(packed[i], lam[j], mu[j])
+                r = stop.residual(x[j], x_prev[j], s, d,
+                                  row_sums=row_ws.row_sums)
+                residual[i] = r
+                if record_history:
+                    history[i].append(r)
+                if r <= stop.eps and not stop.stalled(
+                    r, x[j], s, n, row_sums=row_ws.row_sums
+                ):
+                    finish(j, converged=True)
+                else:
+                    keep.append(j)
+            if not keep:
                 break
+            if len(keep) < a:
+                # Regather the survivors' stacks once per retirement and
+                # keep their cached permutations (no re-sort).
+                ids = [ids[j] for j in keep]
+                base, base_t = base[keep], base_t[keep]
+                slopes, slopes_t = slopes[keep], slopes_t[keep]
+                row_slopes, col_slopes = _flat(slopes), _flat(slopes_t)
+                data = {key: v[keep] for key, v in data.items()}
+                lam, mu, x = lam[keep], mu[keep], x[keep]
+                for ws, rows in ((row_ws, m), (col_ws, n)):
+                    block = np.arange(a * rows).reshape(a, rows)
+                    ws.retain(block[keep].ravel())
         x_prev = x
-
-    s, d = spec.totals(data, lam, mu)
-    s = np.array(s, dtype=np.float64)
-    d = np.array(d, dtype=np.float64)
-    x = row_ws.densify(x)
-    return SolveResult(
-        x=x,
-        s=s,
-        d=d,
-        lam=lam,
-        mu=mu,
-        converged=converged,
-        iterations=t,
-        residual=residual,
-        objective=spec.objective(problem, x, s, d),
-        elapsed=time.perf_counter() - t0,
-        algorithm=spec.algorithm + row_ws.tag,
-        history=history,
-        counts=counts,
-    )
+    else:
+        for j in range(len(ids)):
+            finish(j, converged=False)
+    return results  # type: ignore[return-value]
 
 
 def solve_fixed(
@@ -354,9 +426,10 @@ def solve_fixed(
         :class:`~repro.sparse.kernel.SparseSweepWorkspace` pair bound to
         the problem's mask pattern runs the sparse layout instead.
     """
-    return _run_diagonal(
-        problem, _FixedVariant, stop, mu0, kernel, record_history, workspaces
-    )
+    return run_diagonal(
+        [problem], _FixedVariant, stop, [mu0], kernel, record_history,
+        workspaces,
+    )[0]
 
 
 def solve_elastic(
@@ -375,9 +448,10 @@ def solve_elastic(
     with ``mu_j = 2 beta_j (d0_j - D_j)`` (eq. 30b).  ``kernel`` and
     ``workspaces`` as for :func:`solve_fixed`.
     """
-    return _run_diagonal(
-        problem, _ElasticVariant, stop, mu0, kernel, record_history, workspaces
-    )
+    return run_diagonal(
+        [problem], _ElasticVariant, stop, [mu0], kernel, record_history,
+        workspaces,
+    )[0]
 
 
 def solve_sam(
@@ -397,6 +471,7 @@ def solve_sam(
     paper's relative row imbalance at ``eps' = .001``.  ``kernel`` and
     ``workspaces`` as for :func:`solve_fixed`.
     """
-    return _run_diagonal(
-        problem, _SAMVariant, stop, mu0, kernel, record_history, workspaces
-    )
+    return run_diagonal(
+        [problem], _SAMVariant, stop, [mu0], kernel, record_history,
+        workspaces,
+    )[0]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.problems import ElasticProblem, FixedTotalsProblem, GeneralProblem
+from repro.core.problems import ElasticProblem, GeneralProblem
 from repro.datasets.general import dense_spd_weights
 
 __all__ = [

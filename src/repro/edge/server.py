@@ -87,7 +87,7 @@ import re
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import (
     DeadlineExceededError,

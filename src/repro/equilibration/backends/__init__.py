@@ -35,11 +35,11 @@ is unknown or unbuildable raises.  A failed build is recorded once and
 not retried in the process; the explicit ``name`` error quotes it.
 Resolution happens when a
 :class:`~repro.equilibration.workspace.SweepWorkspace` is constructed,
-so every layer that builds workspaces — the solo drivers,
-``sea_general``, ``solve_batch``, the sparse layout and
-``SolveService`` — picks the backend up through the ``workspace=``
-keyword every kernel call carries, with no API change; a pool
-kernel's row blocks inherit their owner's.
+so every layer that builds workspaces — the one diagonal driver
+(solo solves and ``solve_batch`` alike), ``sea_general``, the sparse
+layout and ``SolveService`` — picks the backend up through the
+``workspace=`` keyword every kernel call carries, with no API change;
+a pool kernel's row blocks inherit their owner's.
 
 Bit-identity contract
 ---------------------

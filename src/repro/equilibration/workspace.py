@@ -135,9 +135,10 @@ class SweepWorkspace(_LayoutWorkspace):
     dispatch); only a genuinely new slope matrix re-validates and drops
     the cached permutation.
 
-    ``m`` is a row *capacity*: the batch engine binds ``k*m`` stacked
-    rows and then :meth:`retain`-s the surviving subset as problems
-    retire, so one workspace serves the whole batch's lifetime.
+    ``m`` is a row *capacity*: the SEA driver binds a stack of ``k``
+    problems' ``k*m`` rows and then :meth:`retain`-s the surviving
+    subset as problems retire, so one workspace serves the whole
+    batch's lifetime.
 
     ``backend`` is a backend name, a
     :class:`~repro.equilibration.backends.KernelBackend` instance, or
@@ -334,7 +335,7 @@ class SweepWorkspace(_LayoutWorkspace):
     def retain(self, keep: np.ndarray) -> None:
         """Keep only the rows ``keep`` (sorted ascending) of the binding.
 
-        Used by the batch engine when problems retire: the cached
+        Used by the SEA driver when stacked problems retire: the cached
         permutation, active mask, counts, slopes and permuted slopes of
         the surviving rows are gathered in place, so no re-validation or
         re-sort is paid.  The kept slopes are a copy and the bound
@@ -370,8 +371,9 @@ class SweepWorkspace(_LayoutWorkspace):
         )
 
     # -- layout hooks of the SEA driver --------------------------------------
-    # The dense layout: ``(m, n)`` matrices, transposed for the column
-    # phase, which alone is asked to orient and recover.
+    # The dense layout: problem-major ``(k, m, n)`` stacks of ``(m, n)``
+    # matrices, transposed for the column phase, which alone is asked to
+    # orient and recover.
 
     #: Algorithm-name suffix of results solved on this layout.
     tag = ""
@@ -396,17 +398,19 @@ class SweepWorkspace(_LayoutWorkspace):
 
     @staticmethod
     def orient(values: np.ndarray) -> np.ndarray:
-        """Row-major cell values in the column phase's layout."""
-        return values.T.copy()
+        """Row-major cell values of a ``(k, m, n)`` stack in the column
+        phase's layout, ``(k, n, m)``."""
+        return values.swapaxes(-1, -2).copy()
 
     @staticmethod
     def recover(lam, breakpoints, slopes, out: np.ndarray) -> np.ndarray:
-        """Column-phase primal recovery (eqs. 23a / 40a) into ``out``;
-        returns the row-major iterate, a transposed view of ``out``."""
-        np.subtract(lam[:, None], breakpoints, out=out)
+        """Column-phase primal recovery (eqs. 23a / 40a) of a stack into
+        ``out``; returns the row-major iterates, transposed views of
+        ``out``."""
+        np.subtract(lam[..., None], breakpoints, out=out)
         np.maximum(out, 0.0, out=out)
         np.multiply(out, slopes, out=out)
-        return out.T
+        return out.swapaxes(-1, -2)
 
     @staticmethod
     def row_sums(x: np.ndarray) -> np.ndarray:
@@ -417,22 +421,17 @@ class SweepWorkspace(_LayoutWorkspace):
         return x
 
     def shift(self, base: np.ndarray, opposite: np.ndarray) -> np.ndarray:
-        """``base - opposite[None, :]`` into a reusable buffer.
+        """``base - opposite[..., None, :]`` into a reusable buffer.
 
         The per-sweep breakpoint matrix of every diagonal SEA phase has
         this form; routing it through the workspace removes the last
-        per-sweep ``(m, n)`` allocation of the drivers.  The result is
+        per-sweep ``(m, n)`` allocation of the drivers.  ``base`` is one
+        ``(m, n)`` matrix with ``opposite`` of shape ``(n,)``, or a
+        ``(k, m, n)`` stack with ``(k, n)``.  The result is
         workspace-owned and overwritten by the next shift.
         """
-        r = base.shape[0]
-        return np.subtract(base, opposite[None, :], out=self._shift[:r])
-
-    def shift_stack(self, base3: np.ndarray, opposite2: np.ndarray) -> np.ndarray:
-        """Batched shift: ``(k, m, n) - (k, 1, n)`` flattened to 2-D."""
-        k, mm, nn = base3.shape
-        view = self._shift.reshape(-1)[: k * mm * nn].reshape(k, mm, nn)
-        np.subtract(base3, opposite2[:, None, :], out=view)
-        return view.reshape(k * mm, nn)
+        out = self._shift.reshape(-1)[: base.size].reshape(base.shape)
+        return np.subtract(base, opposite[..., None, :], out=out)
 
     # -- the kernel fast path -----------------------------------------------
 

@@ -159,17 +159,22 @@ class WarmStartCache:
         ]
 
     def restore(self, state: list[dict]) -> None:
-        """Load a :meth:`state` dump (clearing current contents first).
+        """Load a :meth:`state` dump in place of the current contents.
 
         Beyond-``maxsize`` states load the *most recently used* tail —
-        exactly what an LRU holding them live would have kept.
+        exactly what an LRU holding them live would have kept.  A
+        malformed dump raises before the cache changes.
         """
-        self.clear()
-        for item in state[-self.maxsize:]:
-            self._entries[item["key"]] = _Entry(
+        entries = [
+            (item["key"], _Entry(
                 bucket=item["bucket"],
                 totals=np.asarray(item["totals"], dtype=np.float64),
                 mu=np.asarray(item["mu"], dtype=np.float64),
                 perms=item.get("perms"),
-            )
-            self._buckets.setdefault(item["bucket"], set()).add(item["key"])
+            ))
+            for item in state[-self.maxsize:]
+        ]
+        self.clear()
+        for key, entry in entries:
+            self._entries[key] = entry
+            self._buckets.setdefault(entry.bucket, set()).add(key)

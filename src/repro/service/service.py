@@ -1002,27 +1002,33 @@ class SolveService:
         return path
 
     def restore_snapshot(self, path=None) -> bool:
-        """Load a :meth:`save_snapshot` sidecar; ``False`` when absent
-        or from an unknown snapshot version (never an exception — a
-        stale sidecar must not stop a recovery)."""
+        """Load a :meth:`save_snapshot` sidecar; ``False`` when absent,
+        unreadable, malformed or from an unknown snapshot version (never
+        an exception — a stale sidecar must not stop a recovery).  A
+        sidecar that fails leaves the warm state as it was."""
         path = pathlib.Path(path if path is not None else self.snapshot_path)
         if not path.exists():
             return False
-        with path.open("rb") as fh:
-            state = pickle.load(fh)
-        if state.get("version") != _SNAPSHOT_VERSION:
+        try:
+            with path.open("rb") as fh:
+                state = pickle.load(fh)
+            if state.get("version") != _SNAPSHOT_VERSION:
+                return False
+            breakers = {
+                key: _Breaker(
+                    failures=failures,
+                    open_until=(
+                        None if remaining is None
+                        else self._processed + remaining
+                    ),
+                    half_open=half_open,
+                )
+                for key, failures, remaining, half_open in state["breakers"]
+            }
+            self.cache.restore(state["cache"])
+        except Exception:  # noqa: BLE001 — a torn or foreign sidecar
             return False
-        self.cache.restore(state["cache"])
-        self._breakers = {
-            key: _Breaker(
-                failures=failures,
-                open_until=(
-                    None if remaining is None else self._processed + remaining
-                ),
-                half_open=half_open,
-            )
-            for key, failures, remaining, half_open in state["breakers"]
-        }
+        self._breakers = breakers
         self._stats.cache_size = len(self.cache)
         return True
 

@@ -252,6 +252,7 @@ class SparseSweepWorkspace(_LayoutWorkspace):
         raise ValueError("a sparse workspace takes no seed permutation")
 
     # -- layout hooks of the SEA driver --------------------------------------
+    # ``run_diagonal``'s stacks hold one problem: ``(1, nnz)`` flat cells.
 
     @property
     def segment_length(self) -> int:
@@ -271,15 +272,18 @@ class SparseSweepWorkspace(_LayoutWorkspace):
 
     def orient(self, values: np.ndarray) -> np.ndarray:
         """Row-major cell values in this phase's cell order."""
-        return values[self._perm]
+        return values[..., self._perm]
 
     def shift(self, base: np.ndarray, opposite: np.ndarray) -> np.ndarray:
         """``base`` minus each cell's opposite multiplier (reused buffer)."""
-        return np.subtract(base, opposite[self._opp], out=self._shift)
+        out = self._shift.reshape(base.shape)
+        return np.subtract(base, opposite[..., self._opp], out=out)
 
     def recover(self, lam, breakpoints, slopes, out: np.ndarray) -> np.ndarray:
         """Primal recovery (eq. 23a) into the row-major iterate ``out``."""
-        out[self._perm] = slopes * np.maximum(lam[self._seg] - breakpoints, 0.0)
+        out[..., self._perm] = slopes * np.maximum(
+            lam[..., self._seg] - breakpoints, 0.0
+        )
         return out
 
     def row_sums(self, x: np.ndarray) -> np.ndarray:

@@ -32,6 +32,22 @@ KINDS = {
         StoppingRule(eps=1e-6, criterion="imbalance", max_iterations=5000),
     ),
 }
+# The row-reading criteria on rows of at least 9 cells, where summing a
+# row of a C-ordered copy of the iterate and of the column phase's
+# transposed view round differently: a batch member must read its solo
+# residual there too.
+_WIDE = {
+    "fixed": (lambda rng: random_fixed_problem(rng, 12, 10, density=0.7),
+              solve_fixed),
+    "elastic": (lambda rng: random_elastic_problem(rng, 12, 10),
+                solve_elastic),
+    "sam": (lambda rng: random_sam_problem(rng, 12), solve_sam),
+}
+for _kind, (_make, _solo) in _WIDE.items():
+    for _criterion in ("imbalance", "dual-gradient"):
+        KINDS[f"{_kind}-wide-{_criterion}"] = (_make, _solo, StoppingRule(
+            eps=1e-8, criterion=_criterion, max_iterations=5000,
+        ))
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -94,6 +110,36 @@ def _retiring_pair(rng, kind, m, n):
                 alpha=np.ones(m), beta=np.ones(n),
             ))
     return problems
+
+
+class TestBatchStopsAtSoloSweep:
+    def test_eps_at_a_solo_residual(self):
+        """A batch member stops at the sweep its solo solve stops at,
+        even when eps is exactly a residual the solo solve read."""
+        rng = np.random.default_rng(0)
+        pairs = {
+            "fixed": [random_fixed_problem(rng, 12, 10) for _ in range(2)],
+            "elastic": [random_elastic_problem(rng, 12, 10)
+                        for _ in range(2)],
+            "sam": [random_sam_problem(rng, 12) for _ in range(2)],
+        }
+        solvers = {"fixed": solve_fixed, "elastic": solve_elastic,
+                   "sam": solve_sam}
+        for kind, (p, q) in pairs.items():
+            solo = solvers[kind]
+            trace = solo(p, stop=StoppingRule(
+                eps=1e-300, criterion="imbalance", max_iterations=3,
+            ), record_history=True)
+            stop = StoppingRule(eps=trace.history[2], criterion="imbalance",
+                                max_iterations=5000)
+            r = solo(p, stop=stop)
+            assert r.iterations == 3 and r.converged
+            b = solve_batch([p, q], stop=stop)[0]
+            assert b.iterations == r.iterations
+            assert b.residual == r.residual
+            np.testing.assert_array_equal(b.x, r.x)
+            np.testing.assert_array_equal(b.lam, r.lam)
+            np.testing.assert_array_equal(b.mu, r.mu)
 
 
 class TestBatchRetirementWorkspaces:

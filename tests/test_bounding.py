@@ -6,7 +6,7 @@ import pytest
 from conftest import random_fixed_problem
 from repro.core.bounding import bound_multipliers, d_max_bound
 from repro.core.convergence import StoppingRule
-from repro.core.dual import zeta_fixed, zeta_sam
+from repro.core.dual import zeta_fixed
 from repro.core.sea import solve_fixed
 
 

@@ -1,6 +1,5 @@
 """Cost model: calibration bands against the paper's published speedups."""
 
-import numpy as np
 import pytest
 
 from repro.core.result import PhaseCounts

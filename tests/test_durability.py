@@ -764,12 +764,15 @@ class TestSnapshot:
 
     def test_unknown_version_is_ignored(self, tmp_path, rng):
         snap = tmp_path / "warm.pkl"
-        snap.write_bytes(pickle.dumps({"version": 999, "cache": [],
-                                       "breakers": []}))
-        with SolveService(snapshot_path=snap) as svc:
-            assert not svc.restore_snapshot()
-            resp = svc.solve(random_fixed_problem(rng, 3, 3))
-        assert resp.ok and not resp.warm_started
+        for payload in (
+            pickle.dumps({"version": 999, "cache": [], "breakers": []}),
+            b"\x80\x05\x95garbage",  # a torn sidecar: truncated pickle
+        ):
+            snap.write_bytes(payload)
+            with SolveService(snapshot_path=snap) as svc:
+                assert not svc.restore_snapshot()
+                resp = svc.solve(random_fixed_problem(rng, 3, 3))
+            assert resp.ok and not resp.warm_started
 
     def test_periodic_snapshots(self, tmp_path, rng):
         snap = tmp_path / "warm.pkl"

@@ -23,10 +23,8 @@ import signal
 import socket
 import subprocess
 import sys
-import time
 
 import numpy as np
-import pytest
 
 from conftest import random_fixed_problem
 from repro.edge import EdgeClient, EdgeServer

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import random_fixed_problem
 from repro.core.convergence import StoppingRule
-from repro.core.problems import FixedTotalsProblem
 from repro.core.sea import solve_fixed
 from repro.extensions.bounded import (
     BoundedProblem,

@@ -6,7 +6,6 @@ import pytest
 from conftest import random_fixed_problem
 from repro.baselines.ras import solve_ras
 from repro.core.convergence import StoppingRule
-from repro.core.problems import FixedTotalsProblem
 from repro.core.sea import solve_fixed
 from repro.extensions.entropy import EntropyProblem, solve_entropy
 from repro.extensions.intervals import IntervalTotalsProblem, solve_intervals

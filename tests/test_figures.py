@@ -1,7 +1,5 @@
 """ASCII figure rendering (Figures 5 and 7)."""
 
-import pytest
-
 from repro.harness.figures import ascii_chart, figure5_from_result, figure7_from_result
 from repro.harness.report import ExperimentResult
 

@@ -6,7 +6,6 @@ use.  The heavyweight experiments (tables 7-9) run at reduced sizes
 here and at paper sizes in ``benchmarks/``.
 """
 
-import numpy as np
 import pytest
 
 from repro.harness import EXPERIMENTS, PAPER_TABLES, run_experiment

@@ -20,7 +20,6 @@ Three layers of proof:
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 import os
 import pathlib

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_fixed_problem, random_sam_problem
 from repro.core.convergence import StoppingRule
-from repro.core.sea import solve_elastic, solve_fixed
+from repro.core.sea import solve_fixed
 from repro.datasets.spe_data import spe_instance
 from repro.equilibration.workspace import SweepWorkspace
 from repro.parallel.executor import ParallelKernel

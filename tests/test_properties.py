@@ -10,7 +10,6 @@ These encode the mathematical structure the paper proves:
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

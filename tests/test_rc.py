@@ -7,7 +7,7 @@ from repro.baselines.rc import solve_rc_general
 from repro.core.convergence import StoppingRule
 from repro.core.problems import GeneralProblem
 from repro.core.sea_general import solve_general
-from repro.datasets.general import dense_spd_weights, general_table7_instance
+from repro.datasets.general import general_table7_instance
 
 TIGHT = StoppingRule(eps=1e-7, criterion="delta-x", max_iterations=500)
 

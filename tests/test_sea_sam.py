@@ -1,7 +1,6 @@
 """SEA SAM solver (balanced, estimated totals)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -35,7 +35,6 @@ from repro.service.wire import (
     request_from_jsonable,
     request_to_jsonable,
     response_from_jsonable,
-    response_to_jsonable,
 )
 
 
