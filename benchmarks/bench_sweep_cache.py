@@ -89,34 +89,3 @@ class TestSweepSeries:
         out = benchmark(_run_warm, base, slopes, target, mus, ws)
         assert len(out) == SWEEPS
 
-
-class TestPermutationSeeding:
-    """Cost/benefit of seeding a workspace from a cached permutation."""
-
-    def test_seeded_first_sweep(self, benchmark, size=500):
-        base, slopes, target, mus = _series(size, size, step=0.05)
-        donor = SweepWorkspace(size, size)
-        _run_warm(base, slopes, target, mus, donor)
-        perm = donor.permutation()
-
-        def run():
-            ws = SweepWorkspace(size, size)
-            ws.seed_permutation(perm)
-            return solve_piecewise_linear(
-                ws.shift(base, mus[-1]), slopes, target, workspace=ws
-            )
-
-        out = benchmark(run)
-        assert np.all(np.isfinite(out))
-
-    def test_unseeded_first_sweep(self, benchmark, size=500):
-        base, slopes, target, mus = _series(size, size, step=0.05)
-
-        def run():
-            ws = SweepWorkspace(size, size)
-            return solve_piecewise_linear(
-                ws.shift(base, mus[-1]), slopes, target, workspace=ws
-            )
-
-        out = benchmark(run)
-        assert np.all(np.isfinite(out))

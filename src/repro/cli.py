@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "input")
     serve.add_argument("--snapshot",
                        help="warm-state sidecar path: warm-start cache "
-                            "(duals + sort permutations) and breaker state "
+                            "(duals) and breaker state "
                             "saved on exit, restored on start (a directory "
                             "of per-shard sidecars under --cluster)")
     serve.add_argument("--snapshot-every", type=int, default=None,

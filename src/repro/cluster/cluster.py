@@ -8,8 +8,8 @@ replicas, each a complete :class:`~repro.service.service.SolveService`
 with its own kernel, warm-start cache, workspace LRU and write-ahead
 journal.  Fingerprint routing is what makes the split *better* than
 round-robin: one problem family always lands on one shard, so its warm
-duals and sort permutations stay hot there while the aggregate cache
-capacity grows N-fold.
+duals and its workspace pairs' sort orders stay hot there while the
+aggregate cache capacity grows N-fold.
 
 The router is deliberately thin.  It owns exactly four things:
 

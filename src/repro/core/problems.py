@@ -119,7 +119,7 @@ class FixedTotalsProblem:
     def objective(self, x: np.ndarray) -> float:
         """Weighted squared deviation of ``x`` from ``x0`` (eq. 13)."""
         diff = np.where(self.mask, x - self.x0, 0.0)
-        return float(np.sum(self.gamma * diff * diff * self.mask))
+        return float(np.sum(np.where(self.mask, self.gamma, 0.0) * diff * diff))
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ class ElasticProblem:
         diff = np.where(self.mask, x - self.x0, 0.0)
         return float(
             np.sum(self.alpha * (s - self.s0) ** 2)
-            + np.sum(self.gamma * diff * diff * self.mask)
+            + np.sum(np.where(self.mask, self.gamma, 0.0) * diff * diff)
             + np.sum(self.beta * (d - self.d0) ** 2)
         )
 
@@ -227,7 +227,7 @@ class SAMProblem:
         diff = np.where(self.mask, x - self.x0, 0.0)
         return float(
             np.sum(self.alpha * (s - self.s0) ** 2)
-            + np.sum(self.gamma * diff * diff * self.mask)
+            + np.sum(np.where(self.mask, self.gamma, 0.0) * diff * diff)
         )
 
 

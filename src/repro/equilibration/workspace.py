@@ -184,7 +184,6 @@ class SweepWorkspace(_LayoutWorkspace):
         self._offsets = (np.arange(self.m, dtype=np.intp) * self.n)[:, None]
         self._ord_incr = np.empty(pair, dtype=bool)
         self._order_valid = False
-        self._seeded = False  # seed survives the *next* full rebind
         # Binding state.
         self._rows = self.m
         self._slopes_ref = None  # object identity of the bound slopes
@@ -203,45 +202,6 @@ class SweepWorkspace(_LayoutWorkspace):
     def rows(self) -> int:
         """Currently bound row count (``<= m`` after :meth:`retain`)."""
         return self._rows
-
-    def permutation(self) -> np.ndarray:
-        """Copy of the current per-row sort permutation (or ``None``)."""
-        if not self._order_valid:
-            return None
-        return self._order[: self._rows].copy()
-
-    def seed_permutation(self, order: np.ndarray) -> None:
-        """Adopt a permutation from a previous related solve.
-
-        The seed is *trusted to be a permutation per row* (e.g. the
-        final permutation of a warm-start cache entry); shape, dtype
-        and index range are checked, and every row still passes the
-        stable-order verification on its first sweep, so a stale seed
-        costs at most one resort — never correctness.
-        """
-        order = np.asarray(order, dtype=np.intp)
-        if order.shape != (self._rows, self.n):
-            raise ValueError(
-                f"seed permutation shape {order.shape} != "
-                f"({self._rows}, {self.n})"
-            )
-        if order.size and (order.min() < 0 or order.max() >= self.n):
-            raise ValueError("seed permutation has out-of-range indices")
-        r = self._rows
-        self._order[:r] = order
-        self._refresh_perm_all()
-        self._order_valid = True
-        # A seed usually arrives before the first bind (the service seeds
-        # a fresh pair from its warm-start cache, then the solve binds the
-        # slopes).  The flag lets the next full rebind keep the seed
-        # instead of dropping it like an ordinary stale permutation.
-        self._seeded = True
-        # If already bound, refresh the permuted slopes now; otherwise
-        # bind() does it when the slopes arrive.
-        if self._slopes is not None:
-            self._ss[:r] = np.take(
-                self._slopes_flat, self._flat_idx[:r]
-            )
 
     # -- pool row blocks -----------------------------------------------------
 
@@ -313,23 +273,13 @@ class SweepWorkspace(_LayoutWorkspace):
         if np.any(SL < 0.0):
             raise ValueError("slopes must be nonnegative")
         r = SL.shape[0]
-        keep_seed = (
-            self._seeded and self._order_valid and r == self._rows
-        )
         self._rows = r
         self._adopt(slopes, SL)
         np.greater(SL, 0.0, out=self._active[:r])
         np.logical_not(self._active[:r], out=self._inactive[:r])
         self._has_inactive = bool(self._inactive[:r].any())
         self._counts[:r] = np.count_nonzero(self._active[:r], axis=1)
-        # A fresh binding normally invalidates the permutation, but a
-        # just-seeded one is kept (refreshing the permuted slopes for the
-        # new matrix): the first sweep's stable-order check still vets it
-        # row by row, so a wrong seed costs a resort, never correctness.
-        if keep_seed:
-            self._ss[:r] = np.take(self._slopes_flat, self._flat_idx[:r])
-        self._order_valid = keep_seed
-        self._seeded = False
+        self._order_valid = False
         self.binds += 1
 
     def retain(self, keep: np.ndarray) -> None:

@@ -148,11 +148,16 @@ def solve_intervals(
         counts.add_equilibration(n, m)
 
         if stop.due(t):
-            residual = stop.residual(x, x_prev, problem.s_hi, problem.d_hi)
+            # Rows are measured against their nearest feasible totals, so
+            # a row inside its interval counts as balanced.
+            rows = np.clip(x.sum(axis=1), problem.s_lo, problem.s_hi)
+            residual = stop.residual(x, x_prev, rows, problem.d_hi)
             counts.add_convergence_check(m, n)
             if record_history:
                 history.append(residual)
-            if residual <= stop.eps:
+            if residual <= stop.eps and not stop.stalled(
+                residual, x, rows, n
+            ):
                 converged = True
                 break
         x_prev = x

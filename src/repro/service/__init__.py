@@ -23,7 +23,7 @@ per problem:
 * a durability layer: a write-ahead journal
   (:mod:`repro.service.journal`) giving crash-safe, exactly-once
   request replay via :meth:`SolveService.recover`, warm-state
-  snapshots (cache duals + sort permutations + breaker state),
+  snapshots (cache duals + breaker state),
   admission control with bounded queues and overload policies
   (:mod:`repro.service.admission`), and graceful shutdown drains.
 

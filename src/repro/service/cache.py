@@ -31,10 +31,6 @@ class _Entry:
     bucket: tuple
     totals: np.ndarray
     mu: np.ndarray
-    # Final (row, column) sort permutations of the solve that stored the
-    # entry — seeds for SweepWorkspace.seed_permutation, so a warm-started
-    # solve skips even its first argsort.  None when the solve ran cold.
-    perms: tuple | None = None
 
 
 class WarmStartCache:
@@ -59,25 +55,10 @@ class WarmStartCache:
         byte-identical problem was solved before, ``False`` when the
         multipliers come from the nearest bucket-mate.
         """
-        hit = self.lookup_with_perms(fp, totals)
-        return None if hit is None else hit[:2]
-
-    def lookup_with_perms(
-        self, fp: Fingerprint, totals: np.ndarray
-    ) -> tuple[np.ndarray, bool, tuple | None] | None:
-        """Like :meth:`lookup`, plus the stored sort permutations.
-
-        Returns ``(mu, exact, perms)``; ``perms`` is the ``(row, column)``
-        permutation pair stored with the entry (or ``None``).  A
-        bucket-mate's permutations are served too: bucket-mates share
-        kind, shape and structure, so the perm is a good guess — and the
-        workspace re-verifies any seed row by row, so a stale one can
-        only cost a resort.
-        """
         entry = self._entries.get(fp.key)
         if entry is not None:
             self._entries.move_to_end(fp.key)
-            return entry.mu.copy(), True, entry.perms
+            return entry.mu.copy(), True
         keys = self._buckets.get(fp.bucket)
         if not keys:
             return None
@@ -89,24 +70,12 @@ class WarmStartCache:
             ),
         )
         self._entries.move_to_end(best_key)
-        best = self._entries[best_key]
-        return best.mu.copy(), False, best.perms
+        return self._entries[best_key].mu.copy(), False
 
     def store(
-        self,
-        fp: Fingerprint,
-        totals: np.ndarray,
-        mu: np.ndarray,
-        perms: tuple | None = None,
+        self, fp: Fingerprint, totals: np.ndarray, mu: np.ndarray
     ) -> None:
-        """File a solved problem's multipliers under its fingerprint.
-
-        ``perms`` is an optional ``(row, column)`` pair of final sort
-        permutations (either element may be ``None``) kept next to the
-        duals for :meth:`lookup_with_perms`.
-        """
-        if perms is not None and all(p is None for p in perms):
-            perms = None
+        """File a solved problem's multipliers under its fingerprint."""
         key = fp.key
         if key in self._entries:
             entry = self._entries[key]
@@ -115,8 +84,6 @@ class WarmStartCache:
             # coordinates, and a stale vector would skew every distance
             # computed against this entry.
             entry.totals = np.asarray(totals, dtype=np.float64).copy()
-            if perms is not None:
-                entry.perms = perms
             self._entries.move_to_end(key)
             return
         while len(self._entries) >= self.maxsize:
@@ -130,7 +97,6 @@ class WarmStartCache:
             bucket=fp.bucket,
             totals=np.asarray(totals, dtype=np.float64).copy(),
             mu=np.asarray(mu, dtype=np.float64).copy(),
-            perms=perms,
         )
         self._buckets.setdefault(fp.bucket, set()).add(key)
 
@@ -153,7 +119,6 @@ class WarmStartCache:
                 "bucket": entry.bucket,
                 "totals": entry.totals.copy(),
                 "mu": entry.mu.copy(),
-                "perms": entry.perms,
             }
             for key, entry in self._entries.items()
         ]
@@ -163,14 +128,16 @@ class WarmStartCache:
 
         Beyond-``maxsize`` states load the *most recently used* tail —
         exactly what an LRU holding them live would have kept.  A
-        malformed dump raises before the cache changes.
+        malformed dump raises before the cache changes.  Any other key
+        of an entry is ignored, such as the ``"perms"`` (sort
+        permutations) of dumps written before the cache kept duals
+        alone.
         """
         entries = [
             (item["key"], _Entry(
                 bucket=item["bucket"],
                 totals=np.asarray(item["totals"], dtype=np.float64),
                 mu=np.asarray(item["mu"], dtype=np.float64),
-                perms=item.get("perms"),
             ))
             for item in state[-self.maxsize:]
         ]

@@ -125,7 +125,10 @@ class SolveResponse:
     error: str | None = None
     error_kind: str | None = None  # taxonomy tag of repro.errors
     kind: str = ""
-    elapsed: float = 0.0  # service-side solve time (excludes queueing)
+    # Wall time of the request's group from its first attempt to the end
+    # of its solve: retries included, queueing excluded; every member of
+    # a fused group reads the group's, a circuit-open rejection 0.
+    elapsed: float = 0.0
     warm_started: bool = False
     cache_exact: bool = False
     batched: bool = False

@@ -11,13 +11,17 @@ Scheduling policy (per :meth:`SolveService.drain`):
 
 1. pop every queued request;
 2. group batchable dense diagonal requests (fixed, elastic or SAM) by
-   kind + shape + stopping rule and fuse each group through
-   :func:`~repro.service.batching.solve_batch` (chunks of
-   ``max_batch``); a failing or timed-out batch falls back to
-   per-request solves so one infeasible problem cannot poison its
-   batch-mates;
-3. dispatch everything else individually over the shared kernel;
+   kind + shape + stopping rule, in chunks of ``max_batch``;
+3. answer every group through one path, a group of ``k >= 1``
+   requests: fused groups (``k > 1``) first, in first-seen key order,
+   then the unbatchable requests in submission order, then the groups
+   of one; warm starts read the cache in that order;
 4. return responses in submission order.
+
+A group of the diagonal kinds is one
+:func:`~repro.service.batching.solve_batch` call on one workspace pair
+(a stack of one for ``k = 1``, on the dense or the sparse layout); any
+other kind is solved alone through :func:`repro.core.api.solve`.
 
 Fault policy (per request):
 
@@ -26,7 +30,10 @@ Fault policy (per request):
   crash of the drain loop;
 * *transient* errors (worker crashes, unclassified internal faults) are
   retried up to ``retries`` times — deterministic errors
-  (invalid/infeasible problems) fail fast;
+  (invalid/infeasible problems) fail fast; a fused group is not
+  retried: when it fails (or meets an open breaker) each member is
+  answered alone under its own remaining budget, so one infeasible
+  problem cannot poison its batch-mates;
 * a request's ``deadline_s`` bounds its wall clock: the deadline is
   checked between kernel dispatches and enforced inside pooled
   dispatches, so a hung worker cannot stall the drain loop past the
@@ -57,7 +64,7 @@ Durability (all opt-in):
   re-enqueued and re-solved once, answered ids return their recorded
   responses verbatim;
 * ``snapshot_path=`` persists the warm state (warm-start cache with
-  its duals and sort permutations, circuit-breaker states) on
+  its duals, circuit-breaker states) on
   :meth:`close` — and every ``snapshot_every`` processed requests — so
   a restarted service solves warm from sweep one;
 * ``max_queue`` / ``max_per_kind`` bound the queue under an admission
@@ -185,7 +192,8 @@ class SolveService:
         Configuration of the shared :class:`ParallelKernel`; the pool is
         created lazily and reused for every solve until :meth:`close`.
     batching:
-        Fuse compatible fixed-totals requests into stacked kernel calls.
+        Fuse compatible fixed, elastic and SAM requests (one kind, shape
+        and stopping rule, dense engine) into stacked kernel calls.
     warm_start:
         Seed ``mu0`` from the cache of previously-solved problems.
     cache_size:
@@ -311,11 +319,11 @@ class SolveService:
         self.crash_plan = None
         if self.snapshot_path is not None and self.snapshot_path.exists():
             self.restore_snapshot()
-        # Long-lived workspace pairs, keyed (kind tag, shape, k): k=1
-        # entries serve single dispatches, k>1 entries fused batches of
-        # exactly k problems; a sparse pair has the structure digest for
-        # k.  Bounded LRU — a pair is just preallocated buffers plus a
-        # cached permutation, so eviction only costs one cold sort.
+        # Long-lived workspace pairs, keyed (kind tag, shape, k): a
+        # dense pair serves groups of exactly k problems; a sparse pair
+        # has the structure digest for k.  Bounded LRU — a pair is just
+        # preallocated buffers plus a cached permutation, so eviction
+        # only costs one cold sort.
         self._workspaces: OrderedDict[tuple, tuple] = OrderedDict()
         self._workspaces_max = 8
         # Counters of the pairs evicted so far, kept so that stats()
@@ -578,38 +586,49 @@ class SolveService:
         self._stats.queue_depth = 0
 
         groups: dict[tuple, list[SolveRequest]] = {}
-        singles: list[SolveRequest] = []
+        alone: list[SolveRequest] = []
         for req in requests:
-            if (
-                self.batching
-                and req.batchable
-                and req.engine == "dense"
-                and type(req.problem) in _DIAGONAL_KINDS
-            ):
-                kind = problem_kind(req.problem)
-                try:
-                    stop = resolve_stop(req, kind)
-                except ReproError:
-                    # Bad stopping overrides answer as classified error
-                    # responses on the single path; never sink a drain.
-                    singles.append(req)
-                    continue
-                key = (kind, req.problem.shape, _stop_key(stop))
-                groups.setdefault(key, []).append(req)
+            key = self._batch_key(req)
+            if key is None:
+                alone.append(req)
             else:
-                singles.append(req)
+                groups.setdefault(key, []).append(req)
 
+        # Warm starts read the cache in processing order: fused groups
+        # first, then the unbatchable requests in submission order, then
+        # the groups that found no mate.
         responses: list[SolveResponse] = []
         for members in groups.values():
             if len(members) == 1:
-                singles.extend(members)
+                alone.extend(members)
                 continue
             for lo in range(0, len(members), self.max_batch):
-                responses.extend(self._run_batch(members[lo:lo + self.max_batch]))
-        for req in singles:
-            responses.append(self._run_single(req, self._lookup(req)))
+                responses.extend(
+                    self._run_group(members[lo:lo + self.max_batch])
+                )
+        for req in alone:
+            responses.extend(self._run_group([req]))
         responses.sort(key=lambda r: r.submitted_at)
         return responses
+
+    def _batch_key(self, req: SolveRequest) -> tuple | None:
+        """Fusion key of a batchable request — kind, shape and stopping
+        rule — or ``None`` for one answered alone."""
+        if not (
+            self.batching
+            and req.batchable
+            and req.engine == "dense"
+            and type(req.problem) in _DIAGONAL_KINDS
+        ):
+            return None
+        kind = problem_kind(req.problem)
+        try:
+            stop = resolve_stop(req, kind)
+        except ReproError:
+            # A bad stopping override answers as a classified error
+            # response of its own; it never sinks a drain.
+            return None
+        return (kind, req.problem.shape, _stop_key(stop))
 
     # -- fault policy -------------------------------------------------------
 
@@ -671,16 +690,20 @@ class SolveService:
         self._workspaces[key] = pair
         return pair
 
-    def _workspaces_for(self, req: SolveRequest, fp, perms):
-        """Workspace pair for one single dispatch (``None`` for a sparse
-        one :meth:`_dispatch` refuses), seeded from the cache's stored
-        permutations when available (a sparse pair refuses them, as does
-        a pair of another shape)."""
-        problem = req.problem
+    def _workspaces_for(self, members: list[SolveRequest], fp):
+        """Workspace pair a group sweeps on, or ``None`` for a request
+        that does not sweep one (an extension kind, or a non-diagonal
+        problem the sparse engine refuses).  A dense pair is keyed by
+        the group size ``k``; a sparse one (always ``k = 1``) by its
+        mask's structure digest."""
+        problem = members[0].problem
+        if type(problem) not in _CORE_KINDS:
+            return None
         m, n = problem.shape
-        if req.engine == "sparse":  # bound to the mask: keyed by it
+        k = len(members)
+        if members[0].engine == "sparse":  # bound to the mask: keyed by it
             if type(problem) not in _DIAGONAL_KINDS:
-                return None  # _dispatch refuses the request
+                return None  # _solve refuses the request
             # Imported here: dense-only services never load the layout.
             from repro.sparse.kernel import SparseSweepWorkspace
             from repro.sparse.structure import SparsePattern
@@ -689,36 +712,31 @@ class SolveService:
                 SparsePattern(problem.mask)
             )
         else:
-            key, build = 1, lambda: (SweepWorkspace(m, n), SweepWorkspace(n, m))
-        pair = self._workspace_pair((self._kind_tag(req), (m, n), key), build)
-        if perms is not None:
-            for ws, perm in zip(pair, perms):
-                if perm is None:
-                    continue
-                try:
-                    ws.seed_permutation(perm)
-                except ValueError:
-                    pass  # another layout or shape: sweep unseeded
-        return pair
+            key, build = k, lambda: (
+                SweepWorkspace(k * m, n), SweepWorkspace(k * n, m)
+            )
+        return self._workspace_pair(
+            (self._kind_tag(members[0]), (m, n), key), build
+        )
 
     def _lookup(self, req: SolveRequest):
-        """Warm-start lookup; returns (mu0, warm, exact, fp, totals, perms).
-        Both engines share a problem's bucket (and duals, not perms)."""
+        """Warm-start lookup; returns (mu0, warm, exact, fp, totals).
+        Both engines share a problem's bucket."""
         if type(req.problem) not in _CORE_KINDS:
-            return (None, False, False, None, None, None)
+            return (None, False, False, None, None)
         fp = fingerprint(req.problem)
         totals = totals_vector(req.problem)
         if not (self.warm_start and req.warm_start):
-            return (None, False, False, fp, totals, None)
-        hit = self.cache.lookup_with_perms(fp, totals)
+            return (None, False, False, fp, totals)
+        hit = self.cache.lookup(fp, totals)
         if hit is None:
             self._stats.cache_misses += 1
-            return (None, False, False, fp, totals, None)
-        mu0, exact, perms = hit
+            return (None, False, False, fp, totals)
+        mu0, exact = hit
         self._stats.cache_hits += 1
         if exact:
             self._stats.cache_exact_hits += 1
-        return (mu0, True, exact, fp, totals, perms)
+        return (mu0, True, exact, fp, totals)
 
     def _maybe_crash(self, point: str) -> None:
         """Fault-injection hook: simulate process death at ``point``."""
@@ -732,8 +750,7 @@ class SolveService:
             self._journal.append_response(response)
 
     def _record(
-        self, req: SolveRequest, response: SolveResponse, fp, totals,
-        perms=None,
+        self, req: SolveRequest, response: SolveResponse, fp, totals
     ) -> None:
         self._journal_response(response)
         self._processed += 1
@@ -750,7 +767,7 @@ class SolveService:
                 and response.result.mu is not None
                 and response.result.converged
             ):
-                self.cache.store(fp, totals, response.result.mu, perms=perms)
+                self.cache.store(fp, totals, response.result.mu)
         else:
             self._stats.errors += 1
             self._stats.count_error_kind(response.error_kind or "internal")
@@ -778,80 +795,107 @@ class SolveService:
         response.error = f"{type(exc).__name__}: {exc}"
         response.error_kind = error_kind(exc)
 
-    def _run_single(
-        self, req: SolveRequest, lookup, deadline: float | None = None
-    ) -> SolveResponse:
-        mu0, warm, exact, fp, totals, perms = lookup
-        response = SolveResponse(
-            id=req.id, kind=self._kind_tag(req), warm_started=warm,
-            cache_exact=exact, submitted_at=getattr(req, "_order", 0),
-        )
-        key = self._group_key(req)
-        if not self._breaker_allows(key):
-            self._stats.breaker_rejections += 1
-            self._set_error(response, CircuitOpenError(
+    def _run_group(
+        self, members: list[SolveRequest], deadlines=None, lookups=None
+    ) -> list[SolveResponse]:
+        """Answer ``k >= 1`` requests of one batch key with one solve.
+
+        Every request comes here: a fused group, a drain's group of one,
+        an unbatchable request, each request of a :meth:`shutdown`
+        drain.  The steps: warm-start lookups; the circuit breaker,
+        before any workspace pair is touched; the group's workspace
+        pair; one solve under the tightest member's deadline; the
+        strict check and the record of every member.
+
+        Failure policy: a group of one retries transient errors up to
+        its ``retries``.  A group of more that fails (one
+        ``batch_fallbacks``) or meets an open breaker is split into
+        groups of one, each under its own remaining budget with its own
+        lookup — ``deadlines`` and ``lookups`` carry them.
+        """
+        k = len(members)
+        if lookups is None:
+            lookups = [self._lookup(req) for req in members]
+        if deadlines is None:
+            now = time.monotonic()
+            deadlines = [self._deadline_of(req, now) for req in members]
+        results, error, attempt, elapsed = [None] * k, None, 0, 0.0
+        key = self._group_key(members[0])
+        rejected = not self._breaker_allows(key)
+        if rejected:
+            error = CircuitOpenError(
                 f"circuit breaker open for group {key!r} after repeated "
                 "failures; retry after the cooldown"
-            ))
-            self._record(req, response, fp, totals)
-            return response
-
-        if deadline is None:
-            deadline = self._deadline_of(req, time.monotonic())
-        retries = self._retries_of(req)
-        workspaces = None
-        if type(req.problem) in _CORE_KINDS:
-            workspaces = self._workspaces_for(req, fp, perms)
-        attempt = 0
-        t0 = time.perf_counter()
-        while True:
-            try:
-                response.result = self._dispatch(
-                    req, mu0, deadline, workspaces=workspaces
-                )
-                response.error = response.error_kind = None
-                break
-            except Exception as exc:  # noqa: BLE001 — fault isolation per job
-                self._set_error(response, exc)
-                if isinstance(exc, DeadlineExceededError):
-                    self._stats.deadline_exceeded += 1
-                out_of_time = (
-                    deadline is not None and time.monotonic() >= deadline
-                )
-                if attempt < retries and is_transient(exc) and not out_of_time:
-                    attempt += 1
-                    self._stats.retries += 1
-                    continue
-                break
-        response.retries = attempt
-        response.elapsed = time.perf_counter() - t0
-        if response.ok and req.strict and not response.result.converged:
-            self._set_error(response, NonConvergenceError(
-                f"no convergence after {response.result.iterations} "
-                f"iterations (residual {response.result.residual:g})"
-            ))
-        # A converged solve's final sort permutations file next to its
-        # duals: the next warm-started bucket-mate seeds its workspace
-        # pair from them and skips even its first argsort.
-        final_perms = None
-        if (
-            workspaces is not None
-            and response.ok
-            and response.result.converged
-        ):
-            final_perms = (
-                workspaces[0].permutation(), workspaces[1].permutation()
             )
-        self._record(req, response, fp, totals, perms=final_perms)
-        return response
+        else:
+            retries = self._retries_of(members[0]) if k == 1 else 0
+            deadline = min((d for d in deadlines if d is not None), default=None)
+            mu0s = [lk[0] for lk in lookups]
+            workspaces = self._workspaces_for(members, lookups[0][3])
+            t0 = time.perf_counter()
+            for attempt in range(retries + 1):
+                try:
+                    results = self._solve(members, mu0s, deadline, workspaces)
+                except Exception as exc:  # noqa: BLE001 — fault isolation
+                    error = exc
+                    if isinstance(exc, DeadlineExceededError):
+                        self._stats.deadline_exceeded += 1
+                    if (
+                        attempt == retries
+                        or not is_transient(exc)
+                        or (deadline is not None
+                            and time.monotonic() >= deadline)
+                    ):
+                        break
+                    self._stats.retries += 1
+                else:
+                    error = None
+                    break
+            elapsed = time.perf_counter() - t0
+        if error is not None and k > 1:
+            # One bad problem (e.g. infeasible totals), a worker crash or
+            # the tightest member's deadline fails the fused solve, and
+            # an open breaker rejects it: answer each member alone.
+            if not rejected:
+                self._stats.batch_fallbacks += 1
+            return [
+                self._run_group([req], [d], [lk])[0]
+                for req, d, lk in zip(members, deadlines, lookups)
+            ]
+        if rejected:
+            self._stats.breaker_rejections += 1
+        if k > 1:
+            self._stats.batches += 1
+            self._stats.batched_requests += k
+            self._stats.count_batch(problem_kind(members[0].problem), k)
+        responses = []
+        for req, lk, result in zip(members, lookups, results):
+            _, warm, exact, fp, totals = lk
+            response = SolveResponse(
+                id=req.id, result=result, kind=self._kind_tag(req),
+                elapsed=elapsed, warm_started=warm, cache_exact=exact,
+                batched=k > 1, retries=attempt,
+                submitted_at=getattr(req, "_order", 0),
+            )
+            if error is not None:
+                self._set_error(response, error)
+            elif req.strict and not result.converged:
+                self._set_error(response, NonConvergenceError(
+                    f"no convergence after {result.iterations} iterations "
+                    f"(residual {result.residual:g})"
+                ))
+            self._record(req, response, fp, totals)
+            responses.append(response)
+        return responses
 
-    def _dispatch(
-        self, req: SolveRequest, mu0, deadline: float | None = None,
-        workspaces=None,
-    ):
+    def _solve(self, members, mu0s, deadline: float | None, workspaces):
+        """One solve call for a group: the diagonal kinds through
+        :func:`~repro.service.batching.solve_batch` on the group's
+        pair, any other kind (always alone) through
+        :func:`repro.core.api.solve`."""
         if deadline is not None and time.monotonic() >= deadline:
             raise DeadlineExceededError("request deadline exceeded")
-        problem = req.problem
+        req, problem = members[0], members[0].problem
         if req.engine == "sparse" and type(problem) not in _DIAGONAL_KINDS:
             raise TypeError(
                 f"sparse engine cannot solve {type(problem).__name__}"
@@ -860,89 +904,19 @@ class SolveService:
             self.kernel if deadline is None
             else _DeadlineKernel(self.kernel, deadline)
         )
+        if type(problem) in _DIAGONAL_KINDS:
+            return solve_batch(
+                [r.problem for r in members],
+                stop=resolve_stop(req, problem_kind(problem)),
+                mu0s=mu0s, kernel=kernel, workspaces=workspaces,
+            )
         if type(problem) in _CORE_KINDS:
-            stop = resolve_stop(req, problem_kind(problem))
-            return solve(
-                problem, stop=stop, mu0=mu0, kernel=kernel,
-                workspaces=workspaces,
-            )
-        kwargs = {}
+            return [solve(
+                problem, stop=resolve_stop(req, problem_kind(problem)),
+                mu0=mu0s[0], kernel=kernel, workspaces=workspaces,
+            )]
         stop = resolve_stop(req, "")
-        if stop is not None:
-            kwargs["stop"] = stop
-        return solve(problem, **kwargs)
-
-    def _run_batch(self, members: list[SolveRequest]) -> list[SolveResponse]:
-        lookups = [self._lookup(req) for req in members]
-        now = time.monotonic()
-        deadlines = [self._deadline_of(req, now) for req in members]
-        # All batch members share one kind+shape group: an open breaker
-        # rejects them on the single path without a fused dispatch.
-        if not self._breaker_allows(self._group_key(members[0])):
-            return [
-                self._run_single(req, lk, deadline=d)
-                for req, lk, d in zip(members, lookups, deadlines)
-            ]
-        kind = problem_kind(members[0].problem)
-        stop = resolve_stop(members[0], kind)
-        batch_deadline = min(
-            (d for d in deadlines if d is not None), default=None
-        )
-        kernel = (
-            self.kernel if batch_deadline is None
-            else _DeadlineKernel(self.kernel, batch_deadline)
-        )
-        # One stacked workspace pair per kind+shape+size group: the whole
-        # fused batch shares its buffers, and the cached permutations
-        # survive problem retirements inside solve_batch via retain().
-        m, n = members[0].problem.shape
-        k = len(members)
-        workspaces = self._workspace_pair(
-            (kind, (m, n), k),
-            lambda: (SweepWorkspace(k * m, n), SweepWorkspace(k * n, m)),
-        )
-        try:
-            t0 = time.perf_counter()
-            results = solve_batch(
-                [req.problem for req in members],
-                stop=stop,
-                mu0s=[lk[0] for lk in lookups],
-                kernel=kernel,
-                workspaces=workspaces,
-            )
-        except Exception as exc:  # noqa: BLE001 — fault isolation per batch
-            # One bad problem (e.g. infeasible totals), a worker crash
-            # or the tightest member's deadline aborts the fused kernel
-            # call — isolate faults by re-running solo, each request
-            # under its own remaining budget.
-            self._stats.batch_fallbacks += 1
-            if isinstance(exc, DeadlineExceededError):
-                self._stats.deadline_exceeded += 1
-            return [
-                self._run_single(req, lk, deadline=d)
-                for req, lk, d in zip(members, lookups, deadlines)
-            ]
-        elapsed = time.perf_counter() - t0
-        self._stats.batches += 1
-        self._stats.batched_requests += len(members)
-        self._stats.count_batch(kind, len(members))
-        responses = []
-        for req, lk, result in zip(members, lookups, results):
-            mu0, warm, exact, fp, totals, perms = lk
-            response = SolveResponse(
-                id=req.id, result=result, kind=self._kind_tag(req),
-                elapsed=result.elapsed if result.elapsed else elapsed,
-                warm_started=warm, cache_exact=exact, batched=True,
-                submitted_at=getattr(req, "_order", 0),
-            )
-            if req.strict and not result.converged:
-                self._set_error(response, NonConvergenceError(
-                    f"no convergence after {result.iterations} iterations "
-                    f"(residual {result.residual:g})"
-                ))
-            self._record(req, response, fp, totals)
-            responses.append(response)
-        return responses
+        return [solve(problem) if stop is None else solve(problem, stop=stop)]
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -970,10 +944,9 @@ class SolveService:
         return self._journal
 
     def save_snapshot(self, path=None) -> pathlib.Path:
-        """Write the warm state (cache duals + sort permutations,
-        breaker states) to the sidecar file, atomically (tmp +
-        ``os.replace``), fsynced — a crash mid-write leaves the
-        previous snapshot intact."""
+        """Write the warm state (cache duals, breaker states) to the
+        sidecar file, atomically (tmp + ``os.replace``), fsynced — a
+        crash mid-write leaves the previous snapshot intact."""
         path = pathlib.Path(path if path is not None else self.snapshot_path)
         breakers = [
             (
@@ -1083,7 +1056,7 @@ class SolveService:
             self._maybe_crash("kill-mid-drain")
             request = self._queue.popleft()
             self._stats.queue_depth = len(self._queue)
-            responses.append(self._run_single(request, self._lookup(request)))
+            responses.extend(self._run_group([request]))
             self._stats.drained_on_shutdown += 1
         self.close()
         return responses

@@ -243,14 +243,6 @@ class SparseSweepWorkspace(_LayoutWorkspace):
         """The ``(row, column)`` workspace pair of one pattern."""
         return cls(pattern, backend=backend), cls(pattern, True, backend)
 
-    def permutation(self) -> None:
-        """None: a pair keeps its lexsort order for its own pattern."""
-        return None
-
-    def seed_permutation(self, order) -> None:
-        """Refuse a (dense) warm-start permutation."""
-        raise ValueError("a sparse workspace takes no seed permutation")
-
     # -- layout hooks of the SEA driver --------------------------------------
     # ``run_diagonal``'s stacks hold one problem: ``(1, nnz)`` flat cells.
 

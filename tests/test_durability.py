@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from conftest import random_fixed_problem, random_sam_problem
 
-from repro.core.api import solve
+from repro.core.api import fingerprint, solve, totals_vector
 from repro.core.problems import (
     ElasticProblem,
     FixedTotalsProblem,
@@ -774,6 +774,46 @@ class TestSnapshot:
                 resp = svc.solve(random_fixed_problem(rng, 3, 3))
             assert resp.ok and not resp.warm_started
 
+    def test_sidecar_holds_duals_not_permutations(self, tmp_path, rng):
+        """A cache entry keeps O(m + n) floats: one solved 60x60 problem
+        leaves a sidecar below one float per cell (two m x n int64 sort
+        orders would take 16 bytes per cell)."""
+        snap = tmp_path / "warm.pkl"
+        m = n = 60
+        with SolveService(snapshot_path=snap) as svc:
+            assert svc.solve(random_fixed_problem(rng, m, n)).ok
+        assert len(svc.cache) == 1
+        assert snap.stat().st_size < 8 * m * n
+
+    def test_sidecar_with_permutations_still_restores(self, tmp_path, rng):
+        """A sidecar whose cache entries also carry ``"perms"`` (the sort
+        orders older services stored next to the duals) restores, and
+        its duals serve an exact hit."""
+        problem = random_fixed_problem(rng, 6, 5)
+        with SolveService() as svc:
+            solved = svc.solve(problem)
+            state = svc.cache.state()
+        assert solved.ok and len(state) == 1
+        m, n = problem.shape
+        for entry in state:
+            entry["perms"] = (
+                np.tile(np.arange(n, dtype=np.intp), (m, 1)),
+                np.tile(np.arange(m, dtype=np.intp), (n, 1)),
+            )
+        snap = tmp_path / "old.pkl"
+        snap.write_bytes(pickle.dumps(
+            {"version": 1, "cache": state, "breakers": []}
+        ))
+        with SolveService() as svc2:
+            assert svc2.restore_snapshot(snap)
+            mu, exact = svc2.cache.lookup(
+                fingerprint(problem), totals_vector(problem)
+            )
+            warm = svc2.solve(problem)
+        assert exact
+        assert mu.tobytes() == solved.result.mu.tobytes()
+        assert warm.ok and warm.warm_started and warm.cache_exact
+
     def test_periodic_snapshots(self, tmp_path, rng):
         snap = tmp_path / "warm.pkl"
         with SolveService(snapshot_path=snap, snapshot_every=2) as svc:
@@ -890,9 +930,11 @@ class TestCrashRecovery:
 
 class TestWarmRestart:
     def test_journaled_warm_restart_beats_cold(self, tmp_path):
-        """A restarted service with a snapshot reuses duals *and* sort
-        permutations: sort_reuse_rate > 0 and fewer sweeps/iterations
-        than the same traffic on a cold restart."""
+        """A restarted service with a snapshot starts from the stored
+        duals: fewer sweeps and iterations than the same traffic on a
+        cold restart.  The snapshot holds no sort permutations; the
+        reuse rate is above 0 because later solves sweep on the pair
+        the first one bound."""
         rng = np.random.default_rng(42)
         base = random_fixed_problem(rng, 12, 10)
 

@@ -7,6 +7,7 @@ from conftest import random_fixed_problem
 from repro.baselines.ras import solve_ras
 from repro.core.convergence import StoppingRule
 from repro.core.sea import solve_fixed
+from repro.extensions.bounded import BoundedProblem, solve_bounded
 from repro.extensions.entropy import EntropyProblem, solve_entropy
 from repro.extensions.intervals import IntervalTotalsProblem, solve_intervals
 from repro.extensions.ohuchi_kaji import solve_ohuchi_kaji
@@ -64,6 +65,23 @@ class TestIntervals:
         ri = solve_intervals(widened, stop=TIGHT)
         rf = solve_fixed(problem, stop=TIGHT)
         assert ri.objective <= rf.objective + 1e-6 * rf.objective
+
+    @pytest.mark.parametrize("criterion", ["imbalance", "dual-gradient"])
+    def test_row_criteria_stop_on_an_interior_solution(self, criterion):
+        """Rows inside their intervals are balanced: the row criteria
+        measure them against the nearest feasible totals, not ``s_hi``."""
+        problem = random_fixed_problem(np.random.default_rng(0), 5, 6)
+        rows, cols = problem.x0.sum(axis=1), problem.x0.sum(axis=0)
+        p = IntervalTotalsProblem(
+            x0=problem.x0, gamma=problem.gamma,
+            s_lo=0.8 * rows, s_hi=1.5 * rows, d_lo=0.8 * cols, d_hi=1.5 * cols,
+        )
+        r = solve_intervals(p, stop=StoppingRule(
+            eps=1e-6, criterion=criterion, max_iterations=2000
+        ))
+        assert r.converged and r.iterations < 10
+        assert p.total_violation(r.x) == 0.0
+        np.testing.assert_allclose(r.x, p.x0, atol=1e-9 * p.x0.max())
 
     def test_incompatible_intervals_rejected(self):
         with pytest.raises(ValueError, match="incompatible"):
@@ -169,3 +187,38 @@ class TestOhuchiKaji:
         problem = random_fixed_problem(rng, 6, 6, density=0.5)
         ok = solve_ohuchi_kaji(problem, stop=TIGHT)
         assert np.all(ok.x[~problem.mask] == 0.0)
+
+
+class TestFrozenIterate:
+    """``delta-x`` must not stop the loops that recover the fixed-totals
+    problem on a frozen iterate whose rows do not balance: on these 2x2
+    problems the sweeps leave ``x`` unchanged to roundoff while the
+    duals still drift toward an off-diagonal cell at its zero bound."""
+
+    @pytest.mark.parametrize("seed", [8447, 6867, 7196, 525])
+    def test_fixed_totals_loops_reach_solve_fixed(self, seed):
+        problem = random_fixed_problem(
+            np.random.default_rng(seed), 2, 2, total_factor_low=0.3
+        )
+        stop = StoppingRule(eps=1e-9, criterion="delta-x", max_iterations=10_000)
+        want = solve_fixed(problem, stop=stop)
+        results = {
+            "bounded": solve_bounded(BoundedProblem(
+                x0=problem.x0, gamma=problem.gamma,
+                s0=problem.s0, d0=problem.d0,
+            ), stop=stop),
+            "intervals": solve_intervals(IntervalTotalsProblem(
+                x0=problem.x0, gamma=problem.gamma,
+                s_lo=problem.s0, s_hi=problem.s0,
+                d_lo=problem.d0, d_hi=problem.d0,
+            ), stop=stop),
+            "ohuchi-kaji": solve_ohuchi_kaji(problem, stop=stop),
+        }
+        scale = problem.s0.max()
+        for name, r in results.items():
+            assert r.converged, name
+            row_error = np.max(np.abs(r.x.sum(axis=1) - problem.s0))
+            assert row_error <= 1e-7 * scale, name
+            np.testing.assert_allclose(
+                r.x, want.x, atol=1e-7 * scale, err_msg=name
+            )

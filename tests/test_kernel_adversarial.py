@@ -137,8 +137,7 @@ class TestWorkspaceAdversarial:
     The cache accepts a stale permutation only when the permuted
     breakpoints are nondecreasing *and* ties keep original indices
     increasing (stable-sort uniqueness) — these cases attack exactly
-    that check: heavy ties, mid-series reorderings, deliberately wrong
-    seeds, and NaN poisoning.
+    that check: heavy ties, mid-series reorderings and NaN poisoning.
     """
 
     def _sweep_pair(self, base, slopes, target, mus, backend):
@@ -210,51 +209,6 @@ class TestWorkspaceAdversarial:
                 resorted.append(ws.rows_resorted - before)
             assert 0 < resorted[1] < m
             assert resorted[2] == m
-
-    def test_wrong_seed_costs_resort_not_correctness(self, rng):
-        m, n = 9, 11
-        base = rng.uniform(-5.0, 5.0, (m, n))
-        slopes = rng.uniform(0.5, 2.0, (m, n))
-        target = rng.uniform(5.0, 20.0, m)
-        mu = rng.uniform(-1.0, 1.0, n)
-        cold = solve_piecewise_linear(base - mu[None, :], slopes, target)
-
-        for backend in BACKENDS:
-            ws = SweepWorkspace(m, n, backend=backend)
-            # Reversed identity is (almost surely) wrong for random data.
-            ws.seed_permutation(
-                np.tile(np.arange(n)[::-1], (m, 1)).astype(np.int64)
-            )
-            lam_w = solve_piecewise_linear(
-                ws.shift(base, mu), slopes, target, workspace=ws
-            )
-            np.testing.assert_array_equal(lam_w, cold, err_msg=backend)
-            assert ws.rows_resorted > 0
-
-    def test_good_seed_survives_bind(self, rng):
-        """A donor's final permutation carries into a fresh workspace's
-        first sweep (the service's warm-start perm round-trip)."""
-        m, n = 9, 11
-        base = rng.uniform(-5.0, 5.0, (m, n))
-        slopes = rng.uniform(0.5, 2.0, (m, n))
-        target = rng.uniform(5.0, 20.0, m)
-        mu = rng.uniform(-1.0, 1.0, n)
-        cold = solve_piecewise_linear(base - mu[None, :], slopes, target)
-
-        for backend in BACKENDS:
-            donor = SweepWorkspace(m, n, backend=backend)
-            lam_d = solve_piecewise_linear(
-                donor.shift(base, mu), slopes, target, workspace=donor
-            )
-            fresh = SweepWorkspace(m, n, backend=backend)
-            fresh.seed_permutation(donor.permutation())
-            lam_f = solve_piecewise_linear(
-                fresh.shift(base, mu), slopes, target, workspace=fresh
-            )
-            np.testing.assert_array_equal(lam_d, cold, err_msg=backend)
-            np.testing.assert_array_equal(lam_f, cold, err_msg=backend)
-            assert fresh.rows_resorted == 0  # the seed answered every row
-            assert fresh.rows_reused == m
 
     def test_nan_poisoning_raises_like_cold(self, rng):
         """NaN fails every comparison, so the validity check resorts and

@@ -67,8 +67,8 @@ FAST_NET = dict(connect_timeout=2.0, max_reconnects=2, backoff_base=0.02,
 def nonfinite_problem() -> FixedTotalsProblem:
     """A fixed problem with ``NaN`` in ``x0`` and ``inf`` in ``gamma``
     on its one masked-out cell.  Valid — the cell never enters the
-    solve — yet non-finite on every hop it crosses, and its objective
-    is ``NaN``.  Its zero pattern routes it to shard-0 of a 2- or
+    solve, nor its objective, which is finite — yet non-finite on every
+    hop it crosses.  Its zero pattern routes it to shard-0 of a 2- or
     3-shard ring."""
     cell = (2, 1)
     mask = np.ones((4, 5), dtype=bool)
@@ -240,7 +240,7 @@ class TestJournalShipping:
     def test_replica_mirrors_remote_journal_bytes(self, tmp_path, rng):
         problems = [random_fixed_problem(rng, 6, 5) for _ in range(5)]
         # One more input with non-finite cells: NaN/inf cross the hop
-        # in the request, the NaN objective in the drained response.
+        # in the request; the masked-out cell leaves the objective finite.
         problems.append(nonfinite_problem())
         with tc.inline_cluster(
             shards=2, journal_dir=tmp_path / "baseline"
@@ -265,14 +265,14 @@ class TestJournalShipping:
         assert [r.id for r in responses] == list(baseline)
         for resp in responses:
             assert_same_answer(resp, baseline[resp.id].result)
-        assert math.isnan(responses[-1].result.objective)
+        assert math.isfinite(responses[-1].result.objective)
 
     def test_restarted_remote_hello_returns_the_recorded_answer(
         self, tmp_path
     ):
         """A remote that answered, then restarted, hands the recorded
         response back through its hello's ``recovered`` list — bit for
-        bit, non-finite objective included."""
+        bit, from a problem with non-finite masked-out cells."""
         problem = nonfinite_problem()
         host = _Host(tmp_path, "remote-a")
         first = NetShard("shard-0", *parse_host_port(host.spec),
@@ -289,7 +289,7 @@ class TestJournalShipping:
             (resp,) = second.hello["recovered"]
             assert resp.id == "nf" and second.hello["replayed"] == []
             assert_same_answer(resp, solve(problem))
-            assert math.isnan(resp.result.objective)
+            assert math.isfinite(resp.result.objective)
             assert (tmp_path / "r.journal").read_bytes() == \
                 revived.journal_path.read_bytes()
             second.close()

@@ -144,18 +144,17 @@ class TestWarmStartCache:
 
     def test_eviction_empties_bucket_and_misses_cleanly(self, rng):
         """Evicting a bucket's last entry must clean its index: a
-        later ``lookup_with_perms`` misses with ``None``, it does not
-        crash on a dangling key."""
+        later ``lookup`` misses with ``None``, it does not crash on a
+        dangling key."""
         a = random_fixed_problem(rng, 4, 4)
         b = random_fixed_problem(rng, 5, 3)  # different bucket
         cache = WarmStartCache(maxsize=1)
-        cache.store(fingerprint(a), totals_vector(a), np.zeros(4),
-                    perms=(np.arange(4), None))
+        cache.store(fingerprint(a), totals_vector(a), np.zeros(4))
         cache.store(fingerprint(b), totals_vector(b), np.zeros(5))  # evicts a
         assert len(cache) == 1
-        assert cache.lookup_with_perms(fingerprint(a), totals_vector(a)) is None
-        hit = cache.lookup_with_perms(fingerprint(b), totals_vector(b))
-        assert hit is not None and hit[1] is True and hit[2] is None
+        assert cache.lookup(fingerprint(a), totals_vector(a)) is None
+        hit = cache.lookup(fingerprint(b), totals_vector(b))
+        assert hit is not None and hit[1] is True
 
     def test_store_refresh_reorders_recency(self, rng):
         """Re-storing (or looking up) an entry makes it most recently
@@ -177,17 +176,17 @@ class TestWarmStartCache:
         cache = WarmStartCache(maxsize=4)
         for i, v in enumerate(variants):
             cache.store(fingerprint(v), totals_vector(v),
-                        np.full(4, float(i)), perms=(np.arange(4), None))
+                        np.full(4, float(i)))
         restored = WarmStartCache(maxsize=2)
         restored.restore(cache.state())
         # beyond-maxsize states keep the most recently used tail
         assert len(restored) == 2
         assert restored.lookup(fingerprint(variants[0]),
                                totals_vector(variants[0]))[1] is False
-        mu, exact, perms = restored.lookup_with_perms(
+        mu, exact = restored.lookup(
             fingerprint(variants[2]), totals_vector(variants[2])
         )
-        assert exact and perms is not None
+        assert exact
         np.testing.assert_array_equal(mu, np.full(4, 2.0))
 
 
@@ -590,7 +589,7 @@ class TestWire:
 
 
 class TestServiceWorkspaces:
-    """Persistent sweep workspaces and the warm-start perm round-trip."""
+    """Persistent sweep workspaces and their sort counters."""
 
     class _WorkspaceKernel:
         """In-process kernel that sweeps on the service's workspaces."""
@@ -609,13 +608,10 @@ class TestServiceWorkspaces:
         base = random_fixed_problem(rng, 9, 7)
         first = service.solve(SolveRequest(problem=base, batchable=False))
         assert first.ok
-        # The converged solve's final permutations landed in the cache.
-        fp = fingerprint(base)
-        entry = service.cache.lookup_with_perms(fp, totals_vector(base))
-        assert entry is not None and entry[2] is not None
 
-        # A bucket-mate request is seeded from those permutations and
-        # the service-level counters report the reuse.
+        # A bucket-mate request sweeps on the same workspace pair, which
+        # still holds the first solve's permutations, and the
+        # service-level counters report the reuse.
         second = service.solve(
             SolveRequest(problem=perturbed(base, rng), batchable=False)
         )
