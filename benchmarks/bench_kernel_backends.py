@@ -10,6 +10,10 @@ the registered kernel backends (``numpy`` reference and compiled
   ``--size``, directly comparable to the ``solo`` warm rows of
   ``BENCH_sweeps.json`` (same solver call, same stop rule).  Each row
   reports its speedup against the frozen PR 4 warm baselines below.
+* **cold-phase rows** — a fresh workspace's first sweep on a random
+  ``(n, n)`` matrix per (size, backend), median of 7: every row is
+  sorted from scratch and scanned once, the scrambled-row regime of
+  early sweeps (``cnative``'s radix against NumPy's stable argsort).
 * **bit identity** — every available backend must reproduce the
   ``numpy`` trajectory bit for bit (``--check`` fails on any mismatch).
 
@@ -22,8 +26,11 @@ from __future__ import annotations
 import argparse
 import os
 import pathlib
+import statistics
 import sys
 import time
+
+import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
@@ -33,6 +40,7 @@ from repro.equilibration.backends import (  # noqa: E402
     available_backends,
     backend_versions,
 )
+from repro.equilibration.exact import solve_piecewise_linear  # noqa: E402
 from repro.equilibration.workspace import SweepWorkspace  # noqa: E402
 
 from _util import write_sweeps  # noqa: E402
@@ -44,6 +52,9 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 # BENCH_sweeps.json (n=500, same instances, same stop rule) — the
 # reference the compiled hot path is gated against.
 PR4_WARM_S = {"fixed": 0.5896, "elastic": 15.0106, "sam": 0.5984}
+
+COLD_SIZES = (250, 500, 1000)
+COLD_REPS = 7
 
 
 class _forced_backend:
@@ -94,6 +105,25 @@ def bench_solo_backend(kind: str, n: int, backend: str, reps: int) -> dict:
     }
 
 
+def bench_cold_phase(n: int, backend: str) -> dict:
+    """First sweep of fresh workspaces on one random ``(n, n)`` phase."""
+    rng = np.random.default_rng(n)
+    breakpoints = rng.uniform(-5.0, 5.0, (n, n))
+    slopes = rng.uniform(0.5, 2.0, (n, n))
+    target = rng.uniform(5.0, 20.0, n) * n
+    times = []
+    for _ in range(COLD_REPS):
+        ws = SweepWorkspace(n, n, backend=backend)
+        t0 = time.perf_counter()
+        solve_piecewise_linear(breakpoints, slopes, target, workspace=ws)
+        times.append(time.perf_counter() - t0)
+    return {
+        "size": n,
+        "backend": backend,
+        "cold_phase_ms": round(1e3 * statistics.median(times), 3),
+    }
+
+
 def check_bit_identity(kinds, n: int, backends) -> dict:
     """Full-trajectory bitwise equality of every backend against numpy."""
     mismatches = []
@@ -134,7 +164,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=pathlib.Path,
                         default=REPO_ROOT / "BENCH_sweeps.json")
     parser.add_argument("--skip-solo", action="store_true",
-                        help="bit-identity matrix only (CI smoke)")
+                        help="bit-identity matrix only, no timed rows "
+                             "(CI smoke)")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 on any bit-identity mismatch")
     parser.add_argument("--check-pr4", type=int, default=None, metavar="K",
@@ -152,6 +183,7 @@ def main(argv=None) -> int:
         "backend_versions": backend_versions(),
         "pr4_baseline_warm_s": PR4_WARM_S,
         "solo": [],
+        "cold_phase": [],
         "bit_identity": None,
     }
 
@@ -179,6 +211,15 @@ def main(argv=None) -> int:
                     f"warm={row['warm_s']:.3f}s  "
                     f"vs-pr4={'--' if vs is None else f'{vs:.2f}x'}  "
                     f"reuse={row['sort_reuse_rate']:.3f}",
+                    flush=True,
+                )
+        for n in COLD_SIZES:
+            for backend in backends:
+                row = bench_cold_phase(n, backend)
+                block["cold_phase"].append(row)
+                print(
+                    f"cold phase n={n:5d} backend={backend:8s} "
+                    f"{row['cold_phase_ms']:.2f} ms",
                     flush=True,
                 )
 

@@ -131,7 +131,9 @@ def solve_rc_general(
         counts.add_convergence_check(m, n)
         if record_history:
             history.append(residual)
-        if residual <= stop.eps:
+        if residual <= stop.eps and not stop.stalled(
+            residual, x, problem.s0, n
+        ):
             converged = True
             break
 

@@ -1,25 +1,32 @@
 """Pluggable kernel backends for the piecewise-linear sweep.
 
-The workspace fast path ends in two data-parallel stages: the gather +
-stable-order verification of the cached permutation, and the prefix-sum
-/ candidate-selection pipeline (the "tail").  Both are pure elementwise
-float64 pipelines, so they can be swapped for compiled implementations
-without touching the algorithm — this package is that seam.
+One SEA phase is ``m`` independent single-market equilibrations: each
+row's breakpoints are put in their stable sorted order (the cached one
+when it still holds) and scanned with prefix sums for the multiplier.
+The result is fixed bit for bit by the IEEE-754 operations involved, so
+the phase can run compiled without touching the algorithm — this
+package is that seam.
 
 Backends
 --------
 ``numpy``
-    The reference implementation.  Literally the same array code the
-    cold kernel runs; every other backend is bit-identity gated against
+    The reference implementation.  The workspace gathers, checks and
+    re-sorts with array calls and hands the sorted rows to
+    :meth:`KernelBackend.select`, literally the array code of the cold
+    kernel's tail; every other backend is bit-identity gated against
     it, and it is what the default falls back to.
 ``cnative``
     A small C kernel compiled on demand with the system C compiler
-    (``cc``/``gcc``/``clang``) and loaded through :mod:`ctypes`.
-    Compiled with ``-ffp-contract=off`` so no fused-multiply-add can
-    change rounding: the per-row scan performs the very same IEEE-754
-    double operations in the very same order as the NumPy pipeline,
-    hence bit-identical results.  The default wherever it builds;
-    unavailable when no C compiler is on ``PATH``.
+    (``cc``/``gcc``/``clang``) and loaded through :mod:`ctypes`.  Its
+    ``sweep_rows`` runs a dense phase in one call: per row it gathers
+    through the cached order while checking it, re-sorts a stale row
+    (a natural-run merge when the row has few descents, a radix
+    argsort in column order when it has many; both yield the unique
+    stable order) and scans it.  Compiled with ``-ffp-contract=off`` so
+    no fused-multiply-add can change rounding: the scan performs the
+    very same IEEE-754 double operations in the very same order as the
+    NumPy pipeline, hence bit-identical results.  The default wherever
+    it builds; unavailable when no C compiler is on ``PATH``.
 
 Selection
 ---------
@@ -43,8 +50,9 @@ a pool kernel's row blocks inherit their owner's.
 
 Bit-identity contract
 ---------------------
-A backend's ``select`` must reproduce the NumPy tail bit for bit.  The
-compiled scans guarantee this constructively (same IEEE ops, same
+A backend must reproduce the reference bit for bit: the same sorted
+order, the same multipliers, the same stale-row count.  The compiled
+scans guarantee this constructively (same IEEE ops, same
 order; ``np.cumsum`` is a sequential accumulation, as is the scan's
 running sum) and defer every row the scan cannot prove — least-
 violation fallback rows, rows poisoned by non-finite data — to the
@@ -76,10 +84,12 @@ _AUTO_ORDER = ("cnative", "numpy")
 class KernelBackend:
     """Interface of one sweep backend.
 
-    Subclasses set ``name``/``compiled`` and implement :meth:`select`;
-    the optional capabilities (:meth:`take_verify`, :meth:`resort_rows`,
-    :meth:`select_sparse`) are probed with ``getattr`` by the
-    workspaces, so a backend only implements what it accelerates.
+    Subclasses set ``name``/``compiled``.  The reference implements
+    :meth:`select`, the tail of the workspace's array path.  A compiled
+    backend instead implements ``sweep_rows``, the whole dense phase in
+    one call (:meth:`~repro.equilibration.backends.cnative.CNativeBackend.
+    sweep_rows`), and ``select_sparse``, the segmented tail of the
+    sparse layout; each workspace looks its entry point up once.
     """
 
     name: str = "?"

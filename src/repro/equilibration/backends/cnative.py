@@ -1,27 +1,36 @@
 """Compiled C sweep backend, built on demand with the system compiler.
 
-The kernel is ~100 lines of C replaying the exact IEEE-754 double
-operations of the NumPy pipeline, row by row instead of pass by pass:
-one cache-friendly scan replaces the ~10 full-matrix temporaries of the
-vectorized tail.  Compiled with ``-ffp-contract=off`` so the compiler
-cannot fuse multiply-adds — every add, multiply and divide rounds
-exactly where NumPy's does, which is what makes the result bit-identical
-rather than merely close.
+The kernel is a few hundred lines of C replaying the exact IEEE-754
+double operations of the NumPy pipeline, row by row instead of pass by
+pass: one cache-friendly pass per row replaces the ~10 full-matrix
+temporaries of the vectorized path.  Compiled with ``-ffp-contract=off``
+so the compiler cannot fuse multiply-adds — every add, multiply and
+divide rounds exactly where NumPy's does, which is what makes the
+result bit-identical rather than merely close.
 
-Three entry points:
+Two entry points:
 
-``select_sorted``
-    The dense tail: per-row prefix sums + first-valid candidate +
-    elastic segment-0 override + degenerate fixed rows.  Rows the scan
-    cannot finish (least-violation fallback, non-finite poisoning) are
-    flagged and deferred to the reference NumPy tail, so the weird
-    cases run the reference code by construction.
-``take_verify``
-    The permutation-reuse gate: gather breakpoints through the cached
-    flat index while checking the stable order (strictly increasing, or
-    equal with increasing original index) in the same pass; returns the
-    rows whose cached order no longer holds.  NaN fails every
-    comparison, exactly like the vectorized check.
+``sweep_rows``
+    One dense SEA phase, one call.  Per row it gathers the effective
+    breakpoints (inert cells pinned to ``_BIG``) through the cached
+    sort order, checks that order in the same loop (a pair passes iff
+    its value strictly increases, or ties with increasing column; NaN
+    fails every pair, exactly like the vectorized check) and counts
+    the descents, re-sorts a stale row while it is still in cache, and
+    scans it for its multiplier (prefix sums, first valid candidate,
+    elastic segment-0 override, degenerate fixed rows).  The re-sort
+    has two regimes chosen by a fixed rule on the descent count: a row
+    with few descents (the warm regime) takes a natural-run merge
+    seeded by its cached order, ~O(n) when nearly sorted; a scrambled
+    row takes a stable LSD radix argsort (8-bit digits, constant
+    digits skipped) read in column order, because LSD keeps the input
+    order of ties.  Its key maps ``-0.0`` to ``+0.0`` and every NaN to
+    the largest key, so keys tie exactly where ``argsort(kind=
+    "stable")`` ties; both regimes therefore produce that unique stable
+    order bit for bit.  Only ``order`` and the multipliers are written.
+    Rows the scan cannot finish (least-violation fallback, non-finite
+    poisoning) are flagged and deferred to the reference NumPy tail, so
+    the weird cases run the reference code by construction.
 ``select_sparse_seg``
     The segmented (CSR) tail.  Deliberately keeps *global* running sums
     and subtracts the recorded segment-start offsets — the same
@@ -52,8 +61,7 @@ import numpy as np
 from numpy.ctypeslib import ndpointer
 
 from repro.equilibration.backends import KernelBackend
-from repro.equilibration.backends.numpy_backend import select_rows_numpy
-from repro.equilibration.exact import _no_candidate
+from repro.equilibration.exact import _BIG, _no_candidate
 
 __all__ = ["CNativeBackend", "compiler_version"]
 
@@ -61,82 +69,18 @@ _SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
-/* Per-row scan over sorted (bs, ss): prefix sums, candidate test,
-   first-valid selection, elastic segment-0 override, degenerate fixed
-   rows.  Rows needing the least-violation fallback (or poisoned by
-   non-finite data) are flagged for the NumPy tail. */
-void select_sorted(const double *bs, const double *ss,
-                   const double *rhs, const double *a,
-                   const unsigned char *fixed, const int64_t *counts,
-                   int64_t m, int64_t n,
-                   double *lam, unsigned char *needs_py)
-{
-    for (int64_t i = 0; i < m; i++) {
-        const double *b = bs + i * n;
-        const double *s = ss + i * n;
-        double ai = a[i], ri = rhs[i];
-        double cum_slope = 0.0, cum_sb = 0.0;
-        int have = 0;
-        double li = 0.0;
-        for (int64_t j = 0; j < n; j++) {
-            cum_slope += s[j];
-            cum_sb += s[j] * b[j];
-            double denom = cum_slope + ai;
-            double cand = (ri + cum_sb) / denom;
-            double hi = (j < n - 1) ? b[j + 1] : INFINITY;
-            if (cand >= b[j] && cand <= hi && denom > 0.0 && isfinite(cand)) {
-                li = cand;
-                have = 1;
-                break;
-            }
-        }
-        if (!fixed[i]) {
-            double lam0 = ri / ai;
-            if (lam0 <= b[0]) { li = lam0; have = 1; }
-        }
-        if (!have && fixed[i] && ri == 0.0) {
-            li = counts[i] > 0 ? b[0] : 0.0;
-            have = 1;
-        }
-        lam[i] = li;
-        needs_py[i] = (unsigned char)!have;
-    }
-}
-
-/* Gather bs[i][j] = be_flat[flat_idx[i][j]] while verifying the cached
-   stable order (value strictly increasing, or equal with increasing
-   original column).  Rows that fail — including any NaN, which fails
-   every comparison — are appended to bad[]; returns their count. */
-int64_t take_verify(const double *be_flat, const int64_t *flat_idx,
-                    const int64_t *order, int64_t m, int64_t n,
-                    double *bs, int64_t *bad)
-{
-    int64_t nbad = 0;
-    for (int64_t i = 0; i < m; i++) {
-        const int64_t *fi = flat_idx + i * n;
-        const int64_t *o = order + i * n;
-        double *out = bs + i * n;
-        int ok = 1;
-        double prev = 0.0;
-        int64_t prev_o = 0;
-        for (int64_t j = 0; j < n; j++) {
-            double v = be_flat[fi[j]];
-            out[j] = v;
-            if (j > 0 && !(v > prev || (v == prev && o[j] > prev_o)))
-                ok = 0;
-            prev = v;
-            prev_o = o[j];
-        }
-        if (!ok) bad[nbad++] = i;
-    }
-    return nbad;
-}
+/* A stale row takes the radix when it is long enough for the radix's
+   fixed per-row cost (histograms) to pay off and scrambled enough that
+   merging its natural runs would cost more; otherwise the merge. */
+#define RADIX_MIN_N 64
+#define RADIX_DESCENT_RATIO 16
 
 /* Strict total order of argsort(kind="stable"): value ascending, NaN
    above everything (matching numpy's sort, which sends NaN last), ties
    broken by original column index.  Distinct indices make the order
-   strict, so its sorted sequence is unique — producing it by ANY
+   strict, so its sorted sequence is unique -- producing it by ANY
    comparison sort reproduces the stable argsort bit for bit. */
 static int key_less(double va, int64_t ia, double vb, int64_t ib)
 {
@@ -149,87 +93,197 @@ static int key_less(double va, int64_t ia, double vb, int64_t ib)
     return 0;                             /* va > vb, or va NaN alone */
 }
 
-/* Adaptive stable re-sort of the listed rows, starting from each row's
-   cached permutation.  Gathers the new values in the OLD order — late
-   in a dual ascent that sequence is nearly sorted — then natural-run
-   bottom-up mergesort on the strict total key: k pre-sorted runs cost
-   O(n log k), so a nearly-ordered row is ~O(n) instead of the
-   O(n log n) a cold argsort pays.  Also refreshes the flat gather
-   index and the tie-direction bits (ord_incr) the verify pass uses.
-   Returns 0, or 1 when scratch allocation fails (caller falls back). */
-int64_t resort_rows(const double *be_flat, const double *slopes_flat,
-                    const int64_t *rows, int64_t nrows, int64_t n,
-                    int64_t *order, double *bs, double *ss,
-                    int64_t *flat_idx, unsigned char *ord_incr)
+/* Natural-run bottom-up mergesort of (v, o) on key_less.  v holds the
+   row gathered through its previous order o; late in a dual ascent
+   that sequence is nearly sorted, and k pre-sorted runs cost
+   O(n log k) instead of a cold O(n log n). */
+static void merge_runs(double *v, int64_t *o, int64_t n,
+                       double *tval, int64_t *tidx, int64_t *starts)
 {
-    double *tval = (double *)malloc((size_t)n * sizeof(double));
-    int64_t *tidx = (int64_t *)malloc((size_t)n * sizeof(int64_t));
-    int64_t *starts = (int64_t *)malloc(((size_t)n + 1) * sizeof(int64_t));
-    if (!tval || !tidx || !starts) {
-        free(tval); free(tidx); free(starts);
-        return 1;
-    }
-    for (int64_t t = 0; t < nrows; t++) {
-        int64_t row = rows[t];
-        int64_t *o = order + row * n;
-        double *v = bs + row * n;
-        const double *be = be_flat + row * n;
-        /* Gather through the old order and record the natural runs. */
-        int64_t nruns = 1;
-        starts[0] = 0;
-        v[0] = be[o[0]];
-        for (int64_t k = 1; k < n; k++) {
-            v[k] = be[o[k]];
-            if (key_less(v[k], o[k], v[k - 1], o[k - 1]))
-                starts[nruns++] = k;
-        }
-        starts[nruns] = n;
-        double *sv = v, *dv = tval;
-        int64_t *si = o, *di = tidx;
-        while (nruns > 1) {
-            int64_t w = 0;
-            for (int64_t rp = 0; rp + 1 < nruns; rp += 2) {
-                int64_t x = starts[rp], xe = starts[rp + 1];
-                int64_t y = xe, ye = starts[rp + 2];
-                while (x < xe && y < ye) {
-                    if (key_less(sv[y], si[y], sv[x], si[x])) {
-                        dv[w] = sv[y]; di[w] = si[y]; y++; w++;
-                    } else {
-                        dv[w] = sv[x]; di[w] = si[x]; x++; w++;
-                    }
+    int64_t nruns = 1;
+    starts[0] = 0;
+    for (int64_t k = 1; k < n; k++)
+        if (key_less(v[k], o[k], v[k - 1], o[k - 1]))
+            starts[nruns++] = k;
+    starts[nruns] = n;
+    double *sv = v, *dv = tval;
+    int64_t *si = o, *di = tidx;
+    while (nruns > 1) {
+        int64_t w = 0;
+        for (int64_t rp = 0; rp + 1 < nruns; rp += 2) {
+            int64_t x = starts[rp], xe = starts[rp + 1];
+            int64_t y = xe, ye = starts[rp + 2];
+            while (x < xe && y < ye) {
+                if (key_less(sv[y], si[y], sv[x], si[x])) {
+                    dv[w] = sv[y]; di[w] = si[y]; y++; w++;
+                } else {
+                    dv[w] = sv[x]; di[w] = si[x]; x++; w++;
                 }
-                for (; x < xe; x++, w++) { dv[w] = sv[x]; di[w] = si[x]; }
-                for (; y < ye; y++, w++) { dv[w] = sv[y]; di[w] = si[y]; }
             }
-            if (nruns & 1)
-                for (int64_t x = starts[nruns - 1]; x < n; x++, w++) {
-                    dv[w] = sv[x]; di[w] = si[x];
-                }
-            /* Every other boundary survives the pairwise merge. */
-            int64_t nr2 = 0;
-            for (int64_t rp = 0; rp < nruns; rp += 2)
-                starts[nr2++] = starts[rp];
-            starts[nr2] = n;
-            nruns = nr2;
-            double *pv = sv; sv = dv; dv = pv;
-            int64_t *pi = si; si = di; di = pi;
+            for (; x < xe; x++, w++) { dv[w] = sv[x]; di[w] = si[x]; }
+            for (; y < ye; y++, w++) { dv[w] = sv[y]; di[w] = si[y]; }
         }
-        if (sv != v)
-            for (int64_t k = 0; k < n; k++) { v[k] = sv[k]; o[k] = si[k]; }
-        const double *sl = slopes_flat + row * n;
-        double *so = ss + row * n;
-        int64_t *fi = flat_idx + row * n;
-        unsigned char *inc = ord_incr + row * (n - 1);
-        so[0] = sl[o[0]];
-        fi[0] = row * n + o[0];
-        for (int64_t k = 1; k < n; k++) {
-            so[k] = sl[o[k]];
-            fi[k] = row * n + o[k];
-            inc[k - 1] = (unsigned char)(o[k] > o[k - 1]);
-        }
+        if (nruns & 1)
+            for (int64_t x = starts[nruns - 1]; x < n; x++, w++) {
+                dv[w] = sv[x]; di[w] = si[x];
+            }
+        /* Every other boundary survives the pairwise merge. */
+        int64_t nr2 = 0;
+        for (int64_t rp = 0; rp < nruns; rp += 2)
+            starts[nr2++] = starts[rp];
+        starts[nr2] = n;
+        nruns = nr2;
+        double *pv = sv; sv = dv; dv = pv;
+        int64_t *pi = si; si = di; di = pi;
     }
-    free(tval); free(tidx); free(starts);
-    return 0;
+    if (sv != v) {
+        memcpy(v, sv, (size_t)n * sizeof(double));
+        memcpy(o, si, (size_t)n * sizeof(int64_t));
+    }
+}
+
+/* Order-preserving unsigned key: equal keys exactly where key_less
+   ties on value.  -0.0 becomes +0.0 and every NaN (either sign, any
+   payload) the largest key, above +inf. */
+static uint64_t radix_key(double x)
+{
+    uint64_t u;
+    if (x != x) return UINT64_MAX;
+    if (x == 0.0) x = 0.0;
+    memcpy(&u, &x, sizeof u);
+    return (u >> 63) ? ~u : (u | 0x8000000000000000ULL);
+}
+
+/* Stable LSD radix argsort of the row, 8-bit digits, digits constant
+   over the row skipped.  LSD keeps the input order of equal keys, so
+   the row is read in COLUMN order: ties then come out in increasing
+   column, the stable argsort's tie-break. */
+static void radix_rows(const double *b, const unsigned char *ina,
+                       double big, int64_t n, int64_t *o,
+                       uint64_t *k1, uint64_t *k2, int64_t *i2,
+                       int64_t (*hist)[256])
+{
+    memset(hist, 0, 8 * sizeof *hist);
+    for (int64_t c = 0; c < n; c++) {
+        uint64_t k = radix_key((ina && ina[c]) ? big : b[c]);
+        k1[c] = k;
+        o[c] = c;
+        for (int d = 0; d < 8; d++)
+            hist[d][(k >> (8 * d)) & 0xFF]++;
+    }
+    uint64_t *sk = k1, *dk = k2;
+    int64_t *si = o, *di = i2;
+    for (int d = 0; d < 8; d++) {
+        int sh = 8 * d;
+        int64_t *h = hist[d];
+        if (h[(sk[0] >> sh) & 0xFF] == n) continue;  /* constant digit */
+        int64_t sum = 0;
+        for (int bkt = 0; bkt < 256; bkt++) {
+            int64_t cnt = h[bkt];
+            h[bkt] = sum;
+            sum += cnt;
+        }
+        for (int64_t j = 0; j < n; j++) {
+            int64_t p = h[(sk[j] >> sh) & 0xFF]++;
+            dk[p] = sk[j];
+            di[p] = si[j];
+        }
+        uint64_t *pk = sk; sk = dk; dk = pk;
+        int64_t *pi = si; si = di; di = pi;
+    }
+    if (si != o)
+        memcpy(o, si, (size_t)n * sizeof(int64_t));
+}
+
+/* One SEA phase: r independent single-market equilibrations.  Per row:
+   gather the effective breakpoints (inert cells pinned to big) through
+   the cached order (the identity when cold) while checking the stable
+   order -- a pair fails unless its value strictly increases, or ties
+   with increasing column, so NaN fails every pair; re-sort a stale row
+   while it is in cache (natural-run merge from the cached order when
+   it has few descents, radix from column order when it has many);
+   then scan the sorted row for its multiplier: prefix sums, first
+   valid candidate, elastic segment-0 override, degenerate fixed rows.
+   Rows needing the least-violation fallback (or poisoned by non-finite
+   data) are flagged in needs_py for the NumPy tail.  Writes only order
+   and lam; returns the number of stale rows, or -1 when scratch
+   allocation fails. */
+int64_t sweep_rows(const double *B, const unsigned char *inactive,
+                   const double *slopes, int64_t *order, int64_t cold,
+                   const double *rhs, const double *a,
+                   const unsigned char *fixed, const int64_t *counts,
+                   int64_t r, int64_t n, double big,
+                   double *lam, unsigned char *needs_py)
+{
+    size_t nn = (size_t)n;
+    double *v = (double *)malloc(2 * nn * sizeof(double));
+    int64_t *ix = (int64_t *)malloc((3 * nn + 1) * sizeof(int64_t));
+    uint64_t *keys = (uint64_t *)malloc(2 * nn * sizeof(uint64_t));
+    int64_t (*hist)[256] = malloc(8 * sizeof *hist);
+    if (!v || !ix || !keys || !hist) {
+        free(v); free(ix); free(keys); free(hist);
+        return -1;
+    }
+    double *tval = v + nn;
+    int64_t *tidx = ix, *i2 = ix + nn, *starts = ix + 2 * nn;
+    int64_t nbad = 0;
+    for (int64_t i = 0; i < r; i++) {
+        const double *b = B + i * n;
+        const unsigned char *ina = inactive ? inactive + i * n : NULL;
+        const double *sl = slopes + i * n;
+        int64_t *o = order + i * n;
+        if (cold)
+            for (int64_t j = 0; j < n; j++) o[j] = j;
+        int64_t descents = 0;
+        for (int64_t j = 0; j < n; j++) {
+            int64_t c = o[j];
+            double x = (ina && ina[c]) ? big : b[c];
+            v[j] = x;
+            if (j > 0 && !(x > v[j - 1] || (x == v[j - 1] && c > o[j - 1])))
+                descents++;
+        }
+        if (descents) {
+            nbad++;
+            if (n >= RADIX_MIN_N && descents * RADIX_DESCENT_RATIO > n) {
+                radix_rows(b, ina, big, n, o, keys, keys + nn, i2, hist);
+                for (int64_t j = 0; j < n; j++) {
+                    int64_t c = o[j];
+                    v[j] = (ina && ina[c]) ? big : b[c];
+                }
+            } else {
+                merge_runs(v, o, n, tval, tidx, starts);
+            }
+        }
+        double ai = a[i], ri = rhs[i];
+        double cum_slope = 0.0, cum_sb = 0.0;
+        int have = 0;
+        double li = 0.0;
+        for (int64_t j = 0; j < n; j++) {
+            double s = sl[o[j]];
+            cum_slope += s;
+            cum_sb += s * v[j];
+            double denom = cum_slope + ai;
+            double cand = (ri + cum_sb) / denom;
+            double hi = (j < n - 1) ? v[j + 1] : INFINITY;
+            if (cand >= v[j] && cand <= hi && denom > 0.0 && isfinite(cand)) {
+                li = cand;
+                have = 1;
+                break;
+            }
+        }
+        if (!fixed[i]) {
+            double lam0 = ri / ai;
+            if (lam0 <= v[0]) { li = lam0; have = 1; }
+        }
+        if (!have && fixed[i] && ri == 0.0) {
+            li = counts[i] > 0 ? v[0] : 0.0;
+            have = 1;
+        }
+        lam[i] = li;
+        needs_py[i] = (unsigned char)!have;
+    }
+    free(v); free(ix); free(keys); free(hist);
+    return nbad;
 }
 
 static double nan_min(double acc, double v)
@@ -348,8 +402,7 @@ CACHE_ENV = "REPRO_CNATIVE_CACHE"
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
 
 #: Every symbol the backend calls; a cached object missing one is rebuilt.
-_ENTRY_POINTS = ("select_sorted", "take_verify", "resort_rows",
-                 "select_sparse_seg")
+_ENTRY_POINTS = ("sweep_rows", "select_sparse_seg")
 
 _f64 = ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 _i64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
@@ -454,19 +507,11 @@ def _build_library() -> ctypes.CDLL:
     lib = _load(so_path) if os.path.exists(so_path) else None
     if lib is None:
         lib = _compile(cc, so_path)
-    lib.select_sorted.restype = None
-    lib.select_sorted.argtypes = [
-        _f64, _f64, _f64, _f64, _u8, _i64,
-        ctypes.c_int64, ctypes.c_int64, _f64, _u8,
-    ]
-    lib.take_verify.restype = ctypes.c_int64
-    lib.take_verify.argtypes = [
-        _f64, _i64, _i64, ctypes.c_int64, ctypes.c_int64, _f64, _i64,
-    ]
-    lib.resort_rows.restype = ctypes.c_int64
-    lib.resort_rows.argtypes = [
-        _f64, _f64, _i64, ctypes.c_int64, ctypes.c_int64,
-        _i64, _f64, _f64, _i64, _u8,
+    lib.sweep_rows.restype = ctypes.c_int64
+    lib.sweep_rows.argtypes = [
+        _f64, ctypes.c_void_p, _f64, _i64, ctypes.c_int64,
+        _f64, _f64, _u8, _i64,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_double, _f64, _u8,
     ]
     lib.select_sparse_seg.restype = None
     lib.select_sparse_seg.argtypes = [
@@ -499,62 +544,40 @@ class CNativeBackend(KernelBackend):
     def __init__(self) -> None:
         self._lib = _build_library()
 
-    def select(self, bs, ss, rhs, a_arr, fixed, counts, *, ws=None):
-        # The scan builds its running sums with the same sequential
-        # additions NumPy's cumsum performs; it needs no scratch from
-        # the workspace.
-        r, n = bs.shape
-        lam = np.empty(r)
-        needs_py = np.empty(r, dtype=np.uint8)
-        self._lib.select_sorted(
-            _as_f64(bs), _as_f64(ss), _as_f64(rhs), _as_f64(a_arr),
-            _as_u8(fixed), _as_i64(counts), r, n, lam, needs_py,
-        )
-        if needs_py.any():
-            rows = np.flatnonzero(needs_py)
-            lam[rows] = select_rows_numpy(
-                rows, np.ascontiguousarray(bs[rows]),
-                np.ascontiguousarray(ss[rows]), rhs[rows], a_arr[rows],
-                fixed[rows], counts[rows],
-            )
-        return lam
+    def sweep_rows(self, B, inactive, slopes_flat, order, cold, rhs,
+                   a_arr, fixed, counts):
+        """One dense SEA phase in one call: ``(lam, stale, deferred)``.
 
-    def take_verify(self, be_flat, flat_idx, order, bs_out):
-        """Gather + stable-order check; returns the bad row indices."""
-        r, n = bs_out.shape
-        bad = np.empty(r, dtype=np.int64)
-        nbad = self._lib.take_verify(
-            _as_f64(be_flat), _as_i64(flat_idx), _as_i64(order),
-            r, n, bs_out, bad,
-        )
-        return bad[:nbad]
-
-    def resort_rows(self, be, slopes_flat, rows, order, bs, ss,
-                    flat_idx, ord_incr):
-        """Adaptive stable re-sort of ``rows`` from the cached order.
-
-        Bit-identical to ``argsort(kind="stable")`` on those rows (the
-        strict total key has a unique sorted sequence); also refreshes
-        ``flat_idx``/``ord_incr`` so the caller skips its own refresh.
-        Returns False when the kernel could not run (caller falls back
-        to the NumPy resort).
+        ``order`` (``(r, n)`` int64, C-contiguous) is the cached stable
+        order, ignored when ``cold``; on return it is ``argsort(be,
+        axis=1, kind="stable")`` of the effective breakpoints ``be``
+        (``B`` with the ``inactive`` cells at ``_BIG``; ``None`` means
+        every cell is active).  ``stale`` counts the rows whose cached
+        order failed the check.  ``deferred`` lists the rows the scan
+        could not finish; their ``lam`` entries are left for the
+        reference tail.
         """
         r, n = order.shape
-        if order.dtype.itemsize != 8 or not (
-            order.flags.c_contiguous
-            and bs.flags.c_contiguous
-            and ss.flags.c_contiguous
-            and flat_idx.flags.c_contiguous
-            and ord_incr.flags.c_contiguous
+        if not (
+            B.shape == (r, n)
+            and slopes_flat.size == r * n
+            and (inactive is None or inactive.shape == (r, n))
+            and rhs.shape == a_arr.shape == fixed.shape == counts.shape
+            == (r,)
         ):
-            return False
-        rows64 = _as_i64(rows)
-        status = self._lib.resort_rows(
-            _as_f64(be.reshape(-1)), _as_f64(slopes_flat), rows64,
-            rows64.shape[0], n, order.view(np.int64), bs, ss,
-            flat_idx.view(np.int64), _as_u8(ord_incr),
+            raise ValueError("sweep_rows: arrays do not match order's shape")
+        lam = np.empty(r)
+        needs_py = np.empty(r, dtype=np.uint8)
+        ina = None if inactive is None else _as_u8(inactive)
+        stale = self._lib.sweep_rows(
+            _as_f64(B), None if ina is None else ina.ctypes.data,
+            _as_f64(slopes_flat), order, int(cold), _as_f64(rhs),
+            _as_f64(a_arr), _as_u8(fixed), _as_i64(counts),
+            r, n, _BIG, lam, needs_py,
         )
-        return status == 0
+        if stale < 0:
+            raise MemoryError("sweep_rows could not allocate its scratch")
+        return lam, stale, np.flatnonzero(needs_py)
 
     def select_sparse(self, bs, ss, rid, rhs, a_arr, fixed, target, m):
         """Segmented tail, bit-identical to ``_select_sparse``."""

@@ -3,8 +3,8 @@
 This is the exact array pipeline of the cold kernel's tail
 (:func:`repro.equilibration.exact.solve_piecewise_linear`), factored so
 the workspace can hand it preallocated buffers.  Every other backend is
-gated against it, and the compiled backends call back into it for the
-rows their scans cannot prove.
+gated against it, and the workspace runs it on the rows a compiled
+scan cannot prove.
 """
 
 from __future__ import annotations

@@ -13,24 +13,30 @@ permutation they already know.
 :class:`SweepWorkspace` removes all three costs for a fixed ``(m, n)``
 shape:
 
-* **validation hoisting** — slope nonnegativity, the active mask and
-  per-row active counts are computed once per :meth:`bind`, not per
-  sweep (only the O(m) right-hand-side feasibility checks stay
+* **validation hoisting** — slope nonnegativity, the inert-cell mask
+  and per-row active counts are computed once per :meth:`bind`, not
+  per sweep (only the O(m) right-hand-side feasibility checks stay
   per-call);
-* **zero-allocation sweeps** — every ``(m, n)`` temporary of the kernel
-  (effective breakpoints, sorted views, prefix sums, candidates,
-  segment bounds, validity masks) lives in a preallocated buffer and is
-  filled with ``out=`` ufunc calls;
-* **sort-permutation reuse** — the previous sweep's per-row permutation
-  is re-applied with one ``np.take`` and verified with an ``O(mn)``
-  pass; only rows that went out of order are re-``argsort``-ed.
+* **sort-permutation reuse** — the previous sweep's per-row order is
+  re-applied and verified in one ``O(mn)`` pass; only rows that went
+  out of order are re-sorted;
+* **no per-sweep ``(m, n)`` allocation** — every buffer a sweep
+  writes is preallocated.
 
-The gather/verify pass, the stale-row resort and the selection tail
-are delegated to a :mod:`repro.equilibration.backends` backend, chosen
-per workspace or via ``REPRO_KERNEL_BACKEND``.  By default that is the
-compiled ``cnative`` wherever a C compiler exists and the ``numpy``
-reference otherwise; ``REPRO_KERNEL_BACKEND=numpy`` forces the
-reference.
+How a sweep runs depends on the :mod:`repro.equilibration.backends`
+backend, chosen per workspace or via ``REPRO_KERNEL_BACKEND`` (by
+default the compiled ``cnative`` wherever a C compiler exists, else the
+``numpy`` reference):
+
+* a **compiled** backend (one with ``sweep_rows``) runs the whole phase
+  in one call — gather, order check, stale-row re-sort and scan, row by
+  row — so the workspace holds only what that call reads: the cached
+  order, the shift buffer, the inert-cell mask and the active counts;
+* the **reference** path gathers with ``np.take``, checks the order
+  vectorized, re-``argsort``-s the stale rows and runs the NumPy tail
+  with ``out=`` ufunc calls, so it also holds the effective and sorted
+  breakpoints, the sorted slopes, the tail's prefix-sum / candidate /
+  mask scratch, the flat gather index and the tie-direction bits.
 
 Bit-identity
 ------------
@@ -44,15 +50,17 @@ very same sorted arrays the cold kernel would, and every downstream
 value (prefix sums, candidates, selected multiplier) is bit-identical;
 the selection tail itself is the cold kernel's
 (:func:`repro.equilibration.exact._select` via the ``numpy`` backend;
-compiled backends replay its IEEE operations and are gated against it).
+compiled backends sort to that same unique order, replay its IEEE
+operations and are gated against it).
 
 Counters
 --------
 ``sweeps`` counts kernel calls through the workspace, ``rows_reused`` /
 ``rows_resorted`` count per-row permutation outcomes (a bind or the
-first sweep resorts everything), ``full_resorts`` counts sweeps that
-paid the full ``O(mn log n)`` argsort, and :attr:`sort_reuse_rate` is
-the reuse ratio.  All are surfaced by ``ServiceStats`` and recorded
+first sweep resorts everything), ``full_resorts`` counts cold sweeps
+and sweeps in which at least half the rows went stale, and
+:attr:`sort_reuse_rate` is the reuse ratio.  Both backends count
+alike.  All are surfaced by ``ServiceStats`` and recorded
 in ``BENCH_sweeps.json`` by ``benchmarks/run_trajectory.py``.
 :meth:`counters_extended` adds the counters of the workspace's pool
 row blocks (:meth:`SweepWorkspace.blocks`) and still reports the
@@ -64,6 +72,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.equilibration.backends import KernelBackend, get_backend
+from repro.equilibration.backends.numpy_backend import select_rows_numpy
 from repro.equilibration.exact import (
     _BIG,
     _check_feasible,
@@ -158,9 +167,36 @@ class SweepWorkspace(_LayoutWorkspace):
         self.m = int(m)
         self.n = int(n)
         shape = (self.m, self.n)
+        # A compiled backend runs a whole phase in one call that reads
+        # only the bound slopes, the breakpoints, the cached order and
+        # the inert-cell mask; the NumPy reference keeps its scratch.
+        self._sweep = getattr(self._backend, "sweep_rows", None)
+        self._shift = np.empty(shape)
+        self._inactive = np.empty(shape, dtype=bool)
+        self._order = np.empty(shape, dtype=np.int64)
+        self._order_valid = False
+        self._counts = np.empty(self.m, dtype=np.intp)
+        # Per-row state retain() carries over when stacked problems retire.
+        self._row_state = [self._order, self._inactive, self._counts]
+        if self._sweep is None:
+            self._alloc_reference(shape)
+        # Binding state.
+        self._rows = self.m
+        self._slopes_ref = None  # object identity of the bound slopes
+        self._slopes = None  # float64 view/copy of the bound slopes
+        self._slopes_flat = None
+        self._has_inactive = True
+        self._zeros = np.zeros(self.m)
+        # Row blocks of a pool kernel's phases (see blocks()).
+        self._blocks: list[SweepWorkspace] = []
+        self._block_bounds = None
+
+    def _alloc_reference(self, shape) -> None:
+        """Buffers of the NumPy reference path: effective and sorted
+        breakpoints, sorted slopes, the tail's prefix-sum / candidate /
+        mask scratch, the flat gather index and the tie-direction bits
+        of the order check."""
         pair = (self.m, max(self.n - 1, 0))
-        # Float kernel buffers (the prefix-sum/candidate ones are the
-        # numpy backend's tail scratch).
         self._b_eff = np.empty(shape)
         self._bs = np.empty(shape)
         self._ss = np.empty(shape)
@@ -170,31 +206,15 @@ class SweepWorkspace(_LayoutWorkspace):
         self._denom = np.empty(shape)
         self._cand = np.empty(shape)
         self._hi = np.empty(shape)
-        self._shift = np.empty(shape)
-        # Boolean buffers.
         self._valid = np.empty(shape, dtype=bool)
         self._vtmp = np.empty(shape, dtype=bool)
         self._pair1 = np.empty(pair, dtype=bool)
         self._pair2 = np.empty(pair, dtype=bool)
-        self._active = np.empty(shape, dtype=bool)
-        self._inactive = np.empty(shape, dtype=bool)
-        # Permutation state.
-        self._order = np.empty(shape, dtype=np.intp)
         self._flat_idx = np.empty(shape, dtype=np.intp)
         self._offsets = (np.arange(self.m, dtype=np.intp) * self.n)[:, None]
         self._ord_incr = np.empty(pair, dtype=bool)
-        self._order_valid = False
-        # Binding state.
-        self._rows = self.m
-        self._slopes_ref = None  # object identity of the bound slopes
-        self._slopes = None  # float64 view/copy of the bound slopes
-        self._slopes_flat = None
-        self._counts = np.empty(self.m, dtype=np.intp)
-        self._has_inactive = True
-        self._zeros = np.zeros(self.m)
-        # Row blocks of a pool kernel's phases (see blocks()).
-        self._blocks: list[SweepWorkspace] = []
-        self._block_bounds = None
+        # A warm sweep re-gathers only stale rows' slopes.
+        self._row_state += [self._ord_incr, self._ss]
 
     # -- introspection ------------------------------------------------------
 
@@ -275,20 +295,22 @@ class SweepWorkspace(_LayoutWorkspace):
         r = SL.shape[0]
         self._rows = r
         self._adopt(slopes, SL)
-        np.greater(SL, 0.0, out=self._active[:r])
-        np.logical_not(self._active[:r], out=self._inactive[:r])
-        self._has_inactive = bool(self._inactive[:r].any())
-        self._counts[:r] = np.count_nonzero(self._active[:r], axis=1)
+        inactive = self._inactive[:r]
+        np.greater(SL, 0.0, out=inactive)  # active, until inverted below
+        self._counts[:r] = np.count_nonzero(inactive, axis=1)
+        np.logical_not(inactive, out=inactive)
+        self._has_inactive = bool(inactive.any())
         self._order_valid = False
         self.binds += 1
 
     def retain(self, keep: np.ndarray) -> None:
         """Keep only the rows ``keep`` (sorted ascending) of the binding.
 
-        Used by the SEA driver when stacked problems retire: the cached
-        permutation, active mask, counts, slopes and permuted slopes of
-        the surviving rows are gathered in place, so no re-validation or
-        re-sort is paid.  The kept slopes are a copy and the bound
+        Used by the SEA driver when stacked problems retire: the
+        surviving rows' per-row state (cached order, inert mask, counts,
+        and on the reference path the tie bits and sorted slopes) and
+        slopes are gathered in place, so no re-validation or re-sort is
+        paid.  The kept slopes are a copy and the bound
         object is forgotten, so the next :meth:`bind` accepts the
         caller's restacked survivors by content, or re-validates them if
         the binding was another stack's.  A workspace with no binding
@@ -300,13 +322,10 @@ class SweepWorkspace(_LayoutWorkspace):
         if self._slopes is None or (keep.size and keep[-1] >= self._rows):
             return
         r = keep.size
-        self._order[:r] = self._order[keep]
-        self._ord_incr[:r] = self._ord_incr[keep]
-        self._active[:r] = self._active[keep]
-        self._inactive[:r] = self._inactive[keep]
-        self._counts[:r] = self._counts[keep]
-        self._ss[:r] = self._ss[keep]
-        np.add(self._order[:r], self._offsets[:r], out=self._flat_idx[:r])
+        for buf in self._row_state:
+            buf[:r] = buf[keep]
+        if self._sweep is None:
+            np.add(self._order[:r], self._offsets[:r], out=self._flat_idx[:r])
         self._rows = r
         self._has_inactive = bool(self._inactive[:r].any())
         self._adopt(None, self._slopes[keep])
@@ -410,34 +429,68 @@ class SweepWorkspace(_LayoutWorkspace):
         counts = self._counts[:r]
         _check_feasible(rhs, fixed, counts)
 
+        cold = not self._order_valid
+        if self._sweep is not None:
+            lam, stale, deferred = self._sweep(
+                B, self._inactive[:r] if self._has_inactive else None,
+                self._slopes_flat, self._order[:r], cold, rhs, a_arr,
+                fixed, counts,
+            )
+            self._order_valid = True
+            self._count_sorts(r, stale, cold)
+            if deferred.size:
+                lam[deferred] = self._reference_rows(
+                    deferred, B, rhs, a_arr, fixed, counts
+                )
+            return lam
+
         be = self._effective(B, r)
-        be_flat = be.reshape(-1)
         bs = self._bs[:r]
         ss = self._ss[:r]
         order = self._order[:r]
-        if self._order_valid:
-            take_verify = getattr(self._backend, "take_verify", None)
-            if take_verify is not None:
-                bad = take_verify(be_flat, self._flat_idx[:r], order, bs)
-            else:
-                np.take(be_flat, self._flat_idx[:r], out=bs)
-                bad = self._out_of_order_rows(bs, r)
+        if cold:
+            self._sort_all(be, bs, ss, order)
+            self._order_valid = True
+            stale = r
+        else:
+            np.take(be.reshape(-1), self._flat_idx[:r], out=bs)
+            bad = self._out_of_order_rows(bs, r)
             if bad.size:
                 self._resort(be, bs, ss, order, bad)
-                if 2 * bad.size >= r:
-                    self.full_resorts += 1
-            self.rows_reused += r - bad.size
-            self.rows_resorted += bad.size
-        else:
-            order[:] = np.argsort(be, axis=1, kind="stable")
-            self._refresh_perm_all()
-            np.take(be_flat, self._flat_idx[:r], out=bs)
-            np.take(self._slopes_flat, self._flat_idx[:r], out=ss)
-            self._order_valid = True
+            stale = bad.size
+        self._count_sorts(r, stale, cold)
+        return self._backend.select(bs, ss, rhs, a_arr, fixed, counts, ws=self)
+
+    def _reference_rows(self, rows, B, rhs, a_arr, fixed, counts):
+        """The reference tail over the ``rows`` a compiled scan could not
+        finish: their sorted breakpoints (inert cells at ``_BIG``) and
+        slopes are rebuilt from the fresh order, and an error names the
+        global row."""
+        idx = self._order[rows]
+        be = B[rows]
+        if self._has_inactive:
+            be = np.where(self._inactive[rows], _BIG, be)
+        slopes = self._slopes_flat.reshape(self._rows, self.n)[rows]
+        return select_rows_numpy(
+            rows, np.take_along_axis(be, idx, axis=1),
+            np.take_along_axis(slopes, idx, axis=1),
+            rhs[rows], a_arr[rows], fixed[rows], counts[rows],
+        )
+
+    def _count_sorts(self, r: int, stale: int, cold: bool) -> None:
+        """Fold one sweep's sort outcome into the counters: a cold
+        sweep sorts every row (one full resort); a warm one reuses the
+        rows whose cached order held and counts a full resort when at
+        least half went stale."""
+        if cold:
             self.rows_resorted += r
             self.full_resorts += 1
+        else:
+            if stale and 2 * stale >= r:
+                self.full_resorts += 1
+            self.rows_reused += r - stale
+            self.rows_resorted += stale
         self.sweeps += 1
-        return self._backend.select(bs, ss, rhs, a_arr, fixed, counts, ws=self)
 
     def _effective(self, B: np.ndarray, r: int) -> np.ndarray:
         """Effective breakpoints: inert cells pinned to the _BIG sentinel."""
@@ -496,34 +549,27 @@ class SweepWorkspace(_LayoutWorkspace):
         np.logical_or(p1, p2, out=p1)
         return np.flatnonzero(~p1.all(axis=1))
 
+    def _sort_all(self, be, bs, ss, order) -> None:
+        """Stable argsort of every bound row, then gather both sorted
+        arrays through it."""
+        r = order.shape[0]
+        order[:] = np.argsort(be, axis=1, kind="stable")
+        self._refresh_perm_all()
+        np.take(be.reshape(-1), self._flat_idx[:r], out=bs)
+        np.take(self._slopes_flat, self._flat_idx[:r], out=ss)
+
     def _resort(self, be, bs, ss, order, bad) -> None:
         """Re-argsort the rows that went out of order.
 
-        A compiled backend re-sorts exactly the stale rows with an
-        adaptive natural-run merge seeded by the cached permutation —
-        nearly-ordered rows (the warm regime) cost ~O(n) instead of a
-        cold O(n log n) argsort, and the strict total key makes the
-        result bit-identical to ``argsort(kind="stable")``.
-
-        On the NumPy path: below half the rows, only the stale subset is
-        touched; above it, the fancy-indexed gather/scatter per row
-        costs more than one contiguous whole-matrix argsort, so the full
-        path wins (and recomputing a still-valid row reproduces its
-        cached permutation exactly — the stable order is unique — so
-        both paths stay bit-identical).
+        Below half the rows, only the stale subset is touched; above
+        it, the fancy-indexed gather/scatter per row costs more than
+        one contiguous whole-matrix argsort, so the full path wins (and
+        recomputing a still-valid row reproduces its cached permutation
+        exactly — the stable order is unique — so both paths stay
+        bit-identical).
         """
-        r = order.shape[0]
-        resort = getattr(self._backend, "resort_rows", None)
-        if resort is not None and resort(
-            be, self._slopes_flat, bad, order, bs, ss,
-            self._flat_idx[:r], self._ord_incr[:r],
-        ):
-            return
-        if 2 * bad.size >= r:
-            order[:] = np.argsort(be, axis=1, kind="stable")
-            self._refresh_perm_all()
-            np.take(be.reshape(-1), self._flat_idx[:r], out=bs)
-            np.take(self._slopes_flat, self._flat_idx[:r], out=ss)
+        if 2 * bad.size >= order.shape[0]:
+            self._sort_all(be, bs, ss, order)
             return
         order[bad] = np.argsort(be[bad], axis=1, kind="stable")
         self._refresh_perm(bad)

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import random_fixed_problem
 from repro.baselines.ras import solve_ras
+from repro.baselines.rc import solve_rc_general
 from repro.core.convergence import StoppingRule
+from repro.core.problems import GeneralProblem
 from repro.core.sea import solve_fixed
 from repro.extensions.bounded import BoundedProblem, solve_bounded
 from repro.extensions.entropy import EntropyProblem, solve_entropy
@@ -213,6 +215,11 @@ class TestFrozenIterate:
                 d_lo=problem.d0, d_hi=problem.d0,
             ), stop=stop),
             "ohuchi-kaji": solve_ohuchi_kaji(problem, stop=stop),
+            "rc": solve_rc_general(GeneralProblem(
+                kind="fixed", x0=problem.x0,
+                G=np.diag(problem.gamma.ravel()),
+                s0=problem.s0, d0=problem.d0, mask=problem.mask,
+            ), stop=stop),
         }
         scale = problem.s0.max()
         for name, r in results.items():

@@ -31,7 +31,7 @@ from repro.equilibration.backends import (
     get_backend,
     register_backend,
 )
-from repro.equilibration.exact import solve_piecewise_linear
+from repro.equilibration.exact import _BIG, solve_piecewise_linear
 from repro.equilibration.workspace import SweepWorkspace
 from repro.service import SolveService
 from repro.sparse.kernel import SparseSweepWorkspace
@@ -171,43 +171,69 @@ class TestCompiledBitIdentity:
             )
             np.testing.assert_array_equal(lam_ref, lam_cmp)
 
-    def test_resort_rows_is_stable_argsort(self, backend, rng):
-        impl = getattr(get_backend(backend), "resort_rows", None)
-        assert impl is not None
-        for _ in range(40):
-            m = int(rng.integers(1, 10))
-            n = int(rng.integers(1, 14))
-            be = rng.choice(
-                [0.0, -0.0, 1.0, 2.5, np.nan, np.inf, -np.inf], size=(m, n)
-            )
-            be = be + rng.integers(0, 2, (m, n)) * rng.normal(size=(m, n))
-            slopes = rng.random((m, n))
-            ref = np.argsort(be, axis=1, kind="stable")
-            order = np.empty((m, n), dtype=np.intp)
-            for i in range(m):
-                order[i] = rng.permutation(n)
-            bs = np.empty((m, n))
-            ss = np.empty((m, n))
-            fi = np.empty((m, n), dtype=np.intp)
-            inc = np.empty((m, max(n - 1, 0)), dtype=bool)
-            rows = np.arange(m, dtype=np.intp)
-            assert impl(
-                be, slopes.reshape(-1), rows, order, bs, ss, fi, inc
-            )
-            np.testing.assert_array_equal(order, ref)
-            exp_bs = np.take_along_axis(be, ref, axis=1)
-            assert np.array_equal(
-                bs.view(np.int64), exp_bs.view(np.int64)
-            )  # NaN-safe bitwise compare
-            np.testing.assert_array_equal(
-                ss, np.take_along_axis(slopes, ref, axis=1)
-            )
+    def test_fused_pass_is_stable_argsort(self, backend, rng):
+        """Both re-sort regimes of the one-call phase give the unique
+        stable order, on signed zeros, NaNs of either sign and other
+        payloads, infinities, ``_BIG``, ties and duplicate columns.
+
+        A cold sweep sorts from the identity order; a nudged row (two
+        cells swapped) has a few descents against its cached order and
+        takes the merge; a scrambled row (values permuted) has many and
+        takes the radix, which keeps ties in column order only if its
+        key maps ``-0.0`` to ``+0.0`` and every NaN to one key.
+        """
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                         0x7FF0000000000001, 0xFFF00000DEADBEEF],
+                        dtype=np.uint64).view(np.float64)
+        pool = np.concatenate([
+            [0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, _BIG, -_BIG,
+             5e-324, -5e-324], nans,
+        ])
+        for _ in range(30):
+            m = int(rng.integers(1, 5))
+            n = int(rng.choice([int(rng.integers(1, 20)),
+                                int(rng.integers(80, 200))]))
+            B = rng.choice(pool, size=(m, n))
+            B[:, n // 2] = B[:, 0]  # exact duplicate column
+            slopes = rng.uniform(0.5, 2.0, (m, n))
+            slopes[rng.random((m, n)) < 0.1] = 0.0  # inert: pinned to _BIG
+            target = rng.uniform(1.0, 30.0, m)
+            nudged = B.copy()
+            for row in nudged:
+                i, j = rng.integers(0, n, 2)
+                row[[i, j]] = row[[j, i]]
+            scrambled = rng.permuted(B, axis=1)
+            ws_ref = SweepWorkspace(m, n, backend="numpy")
+            ws_cmp = SweepWorkspace(m, n, backend=backend)
+            for phase in (B, nudged, scrambled, B):
+                lam = []
+                for ws in (ws_ref, ws_cmp):
+                    try:
+                        lam.append(solve_piecewise_linear(
+                            phase, slopes, target, workspace=ws
+                        ).view(np.int64))  # NaN-safe bitwise compare
+                    except ValueError as exc:
+                        lam.append(str(exc))
+                np.testing.assert_array_equal(lam[0], lam[1])
+                want = np.argsort(
+                    np.where(slopes > 0.0, phase, _BIG), axis=1,
+                    kind="stable",
+                )
+                np.testing.assert_array_equal(ws_cmp._order[:m], want)
+                assert (ws_cmp.rows_reused, ws_cmp.rows_resorted) == (
+                    ws_ref.rows_reused, ws_ref.rows_resorted
+                )
 
     def test_nan_poisoned_row_matches_numpy(self, backend, rng):
         m, n = 6, 8
         base, slopes, target = _adversarial_matrix(rng, m, n)
         base = base.astype(float).copy()
         base[2, 3] = np.nan  # finite candidates remain: both must solve
+        # A multiplier above every finite breakpoint meets the NaN as its
+        # segment's upper end, so only the least-violation fallback of
+        # the reference tail solves the row.
+        base[4, 5] = np.nan
+        target[4] = 1e3
         lam_ref = solve_piecewise_linear(
             base, slopes, target,
             workspace=SweepWorkspace(m, n, backend="numpy"),
@@ -243,6 +269,35 @@ class TestCompiledBitIdentity:
             stats = svc.stats()
         np.testing.assert_array_equal(ref.result.x, cmp_.result.x)
         assert stats.backend_solves.get(backend, 0) > 0
+
+
+@pytest.mark.skipif(not AVAILABLE.get("cnative"), reason="no C compiler")
+class TestCompiledMemory:
+    def test_workspace_holds_only_what_the_phase_reads(self, rng):
+        """A compiled workspace allocates the order, the shift buffer,
+        the inert mask and the counts, not the reference path's
+        scratch: with three sweeps it traces under four ``(m, n)``
+        float64 matrices (the reference holds about thirteen)."""
+        import tracemalloc
+
+        m = n = 300
+        base = rng.uniform(-5.0, 5.0, (m, n))
+        slopes = rng.uniform(0.5, 2.0, (m, n))
+        target = rng.uniform(5.0, 20.0, m) * n
+        mus = rng.uniform(-1.0, 1.0, (3, n))
+        backend = get_backend("cnative")
+        tracemalloc.start()
+        try:
+            ws = SweepWorkspace(m, n, backend=backend)
+            for mu in mus:
+                solve_piecewise_linear(
+                    ws.shift(base, mu), slopes, target, workspace=ws
+                )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ws.sweeps == 3
+        assert peak < 4 * 8 * m * n
 
 
 @pytest.mark.skipif(not AVAILABLE.get("cnative"), reason="no C compiler")
